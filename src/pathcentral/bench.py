@@ -163,7 +163,6 @@ def _run_task(payload: tuple) -> dict[str, Any]:
         est = (estimate_coverage if method == "coverage" else estimate_betweenness)(
             g, vertex, cfg
         )
-    reach = compute_reachability(g, vertex)
     row = {
         "dataset": dataset,
         "vertex": g.label_of(vertex),
@@ -176,8 +175,6 @@ def _run_task(payload: tuple) -> dict[str, Any]:
         "samples": est.samples,
         "sample_budget": est.sample_budget,
         "stop_reason": est.stop_reason,
-        "pair_fraction": float(reach.pair_fraction),
-        "source_fraction": float(reach.source_fraction),
     }
     if want_time:
         row["wall_time"] = est.wall_time
@@ -226,8 +223,14 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
 
     tasks = []
     exacts: dict[tuple, float | None] = {}
+    fractions: dict[tuple, dict[str, float]] = {}
     for name, g, vertices, scores in sorted(datasets, key=lambda d: d[0]):
         for vertex in vertices:
+            reach = compute_reachability(g, vertex)
+            fractions[(name, g.label_of(vertex))] = {
+                "pair_fraction": float(reach.pair_fraction),
+                "source_fraction": float(reach.source_fraction),
+            }
             for method in sorted(methods):
                 exacts[(name, g.label_of(vertex), method)] = (
                     _exact_value(method, g, vertex, scores, kpath_spec)
@@ -249,6 +252,7 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
         rows = [_run_task(p) for p in prepared]
 
     for row in rows:
+        row.update(fractions[(row["dataset"], row["vertex"])])
         exact = exacts.get((row["dataset"], row["vertex"], row["method"]))
         row["exact"] = exact
         if exact is not None and exact > 0:

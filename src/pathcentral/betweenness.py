@@ -3,7 +3,9 @@
 Both estimators draw endpoint pairs and test whether the root matters for
 the drawn pair: betweenness samples one shortest path uniformly and checks
 that the root sits on it, coverage only checks that the root sits on *some*
-shortest path (a pure distance test, no path sampling). Restricting the
+shortest path (a pure distance test, no path sampling). Betweenness runs
+the coverage test first and draws a path only for pairs that pass it, since
+no other pair can put the root on its drawn path. Restricting the
 endpoint draws to the root's upstream and downstream sets shrinks the
 per-sample range from 1 to the pair fraction, which is where the sample
 savings over unrestricted sampling come from.
@@ -25,6 +27,7 @@ from .adaptive import (
 from .graph import DirectedGraph
 from .reachability import compute_reachability
 from .shortest_paths import (
+    _SearchSpace,
     build_shortest_path_dag,
     on_some_shortest_path,
     sample_uniform_path,
@@ -67,9 +70,10 @@ def _pair_loop(
 ) -> Estimate:
     """Common driver: draw endpoint pairs, score hits, stop adaptively.
 
-    ``hit_test(rng, s, t)`` decides whether the drawn pair counts for the
-    root. Where the endpoints come from and how much a hit contributes
-    depends on the mode: restricted draws from upstream x downstream and
+    ``hit_test(rng, reach, s, t, space)`` decides whether the drawn pair
+    counts for the root; ``space`` is search scratch allocated once per run.
+    Where the endpoints come from and how much a hit contributes depends on
+    the mode: restricted draws from upstream x downstream and
     contributes the pair fraction per hit; baseline draws from all
     non-root vertices and contributes 1.
     """
@@ -112,13 +116,14 @@ def _pair_loop(
 
     n_src = len(sources)
     n_tgt = len(targets)
+    space = _SearchSpace(g)
 
     def draw() -> float:
         s = sources[rng.integers(n_src)]
         t = targets[rng.integers(n_tgt)]
         if s == t:
             return 0.0
-        return hit_value if hit_test(rng, reach, s, t) else 0.0
+        return hit_value if hit_test(rng, reach, s, t, space) else 0.0
 
     mean, tau, hits, reason, gap_lo, gap_hi = run_sampling_loop(
         draw, budget, cfg.tolerance, gap_terms
@@ -134,12 +139,18 @@ def estimate_betweenness(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> E
     iff the root lies on that drawn path. Pairs with no connecting path
     contribute zero but still count, which keeps the estimator unbiased
     over the endpoint product space.
+
+    The path is drawn only for pairs that pass the coverage distance test
+    d(s, r) + d(r, t) = d(s, t). A pair that fails it has no shortest path
+    through the root, so the draw would miss with probability 1; skipping
+    it leaves each sample's law unchanged and saves the counting search,
+    the path structure and the draw.
     """
 
-    def hit_test(rng, reach, s: int, t: int) -> bool:
-        dag = build_shortest_path_dag(g, s, t)
-        if dag is None:
+    def hit_test(rng, reach, s: int, t: int, space) -> bool:
+        if not on_some_shortest_path(g, s, t, root, reach, space):
             return False
+        dag = build_shortest_path_dag(g, s, t)
         return sample_uniform_path(dag, rng, mark=root).contains_mark
 
     return _pair_loop(g, root, cfg, hit_test)
@@ -154,7 +165,7 @@ def estimate_coverage(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> Esti
     and stopping machinery as the betweenness estimator.
     """
 
-    def hit_test(rng, reach, s: int, t: int) -> bool:
-        return on_some_shortest_path(g, s, t, root, reach)
+    def hit_test(rng, reach, s: int, t: int, space) -> bool:
+        return on_some_shortest_path(g, s, t, root, reach, space)
 
     return _pair_loop(g, root, cfg, hit_test)

@@ -67,17 +67,24 @@ class DirectedGraph:
         """Build a graph from integer edge pairs.
 
         Self-loops and duplicate edges are dropped (counted, not rejected).
-        ``vertex_count`` defaults to one past the largest id seen.
+        ``vertex_count`` defaults to one past the largest id seen. Any id
+        outside ``[0, vertex_count)`` raises ``ValueError``; a negative id
+        would otherwise wrap around through Python indexing.
         """
         edge_set: set[tuple[int, int]] = set()
         loops = 0
         dupes = 0
+        min_id = 0
         max_id = -1
         for u, v in edges:
             if u > max_id:
                 max_id = u
             if v > max_id:
                 max_id = v
+            if u < min_id:
+                min_id = u
+            if v < min_id:
+                min_id = v
             if u == v:
                 loops += 1
                 continue
@@ -86,8 +93,9 @@ class DirectedGraph:
                 continue
             edge_set.add((u, v))
         n = (max_id + 1) if vertex_count is None else vertex_count
-        if max_id >= n:
-            raise ValueError(f"edge endpoint {max_id} out of range for {n} vertices")
+        if min_id < 0 or max_id >= n:
+            bad = min_id if min_id < 0 else max_id
+            raise ValueError(f"edge endpoint {bad} out of range for {n} vertices")
         fwd: list[list[int]] = [[] for _ in range(n)]
         rev: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_set:

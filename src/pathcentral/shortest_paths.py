@@ -15,6 +15,12 @@ exact: when the sides first touch, every meeting vertex v satisfies
 dist_f(v) + dist_b(v) = d(s, t), each shortest path crosses the meeting set
 exactly once, and the number of shortest paths factors as
 sum over meeting v of (paths s to v) * (paths v to t).
+
+The distance-only search needs no counts, so it exits at the first contact
+and keeps its labels in a reusable epoch-stamped scratch (``_SearchSpace``)
+rather than per-call dicts. The betweenness estimator runs it as a gate
+before the full builder: the root can only be on a drawn path when it is on
+some shortest path.
 """
 
 from __future__ import annotations
@@ -241,47 +247,71 @@ def sample_uniform_path(dag: ShortestPathDag, rng, mark: int | None = None) -> P
     )
 
 
-def shortest_path_length(g: DirectedGraph, source: int, target: int) -> int | None:
+class _SearchSpace:
+    """Reusable scratch for the distance search: one epoch-stamped mark per vertex.
+
+    Each search takes two fresh stamps, one per side, so a vertex is labelled
+    by the forward side, by the backward side, or (stale stamp) by neither.
+    Starting a search is one increment instead of clearing two dicts, and a
+    run that draws many pairs allocates the marks once.
+    """
+
+    __slots__ = ("mark", "epoch")
+
+    def __init__(self, g: DirectedGraph):
+        self.mark = [0] * g.vertex_count
+        self.epoch = 0
+
+
+def shortest_path_length(
+    g: DirectedGraph, source: int, target: int, space: _SearchSpace | None = None
+) -> int | None:
     """Hop count of a shortest source-to-target path, None if unreachable.
 
     Same balanced bidirectional search as the full builder, but since only
-    the distance is needed it may exit at the first contact instead of
-    finishing the level.
+    the distance is needed it exits at the first contact instead of
+    finishing the level. Until that contact the two labelled balls are
+    disjoint, so a shortest path is longer than the sum of their radii; the
+    contact vertex closes a path one hop longer than that sum, which is
+    therefore the distance. Only labels are kept, no per-vertex distances.
+    ``space`` carries the marks across calls on the same graph; without one
+    a fresh scratch is allocated.
     """
     g._check(source)
     g._check(target)
     if source == target:
         return 0
+    if space is None:
+        space = _SearchSpace(g)
+    fwd_mark = space.epoch + 1
+    bwd_mark = space.epoch + 2
+    space.epoch = bwd_mark
+    mark = space.mark
+    mark[source] = fwd_mark
+    mark[target] = bwd_mark
     fwd_adj = g._fwd
     rev_adj = g._rev
-    dist_f = {source: 0}
-    dist_b = {target: 0}
     frontier_f = [source]
     frontier_b = [target]
+    radius = 0
     while frontier_f and frontier_b:
         if len(frontier_f) <= len(frontier_b):
-            level = dist_f[frontier_f[0]] + 1
-            next_frontier = []
-            for u in frontier_f:
-                for v in fwd_adj[u]:
-                    if v not in dist_f:
-                        db = dist_b.get(v)
-                        if db is not None:
-                            return level + db
-                        dist_f[v] = level
-                        next_frontier.append(v)
+            adj, frontier, own, other = fwd_adj, frontier_f, fwd_mark, bwd_mark
+        else:
+            adj, frontier, own, other = rev_adj, frontier_b, bwd_mark, fwd_mark
+        radius += 1
+        next_frontier = []
+        for u in frontier:
+            for v in adj[u]:
+                m = mark[v]
+                if m != own:
+                    if m == other:
+                        return radius
+                    mark[v] = own
+                    next_frontier.append(v)
+        if own == fwd_mark:
             frontier_f = next_frontier
         else:
-            level = dist_b[frontier_b[0]] + 1
-            next_frontier = []
-            for u in frontier_b:
-                for w in rev_adj[u]:
-                    if w not in dist_b:
-                        df = dist_f.get(w)
-                        if df is not None:
-                            return level + df
-                        dist_b[w] = level
-                        next_frontier.append(w)
             frontier_b = next_frontier
     return None
 
@@ -292,16 +322,18 @@ def on_some_shortest_path(
     target: int,
     vertex: int,
     reach: ReachabilityInfo,
+    space: _SearchSpace | None = None,
 ) -> bool:
     """True iff ``vertex`` lies on at least one shortest source-target path.
 
     Pure distance test: d(source, vertex) + d(vertex, target) == d(source,
     target), with the two legs read off the precomputed reachability maps.
-    ``reach`` must have been computed for ``vertex``.
+    ``reach`` must have been computed for ``vertex``; ``space`` is passed on
+    to :func:`shortest_path_length`.
     """
     to_v = reach.dist_to_root.get(source)
     from_v = reach.dist_from_root.get(target)
     if to_v is None or from_v is None:
         return False
-    d = shortest_path_length(g, source, target)
+    d = shortest_path_length(g, source, target, space)
     return d is not None and to_v + from_v == d

@@ -1,5 +1,6 @@
 import pytest
 
+import pathcentral.bench
 from pathcentral.bench import (
     format_table,
     report_to_json,
@@ -112,6 +113,21 @@ class TestRunBenchmark:
         serial = report_to_json(run_benchmark(config, workers=1))
         pooled = report_to_json(run_benchmark(config, workers=2))
         assert serial == pooled
+
+    def test_reachability_runs_once_per_vertex(self, monkeypatch):
+        calls = []
+        real = pathcentral.bench.compute_reachability
+
+        def counting(g, vertex, *args, **kwargs):
+            calls.append(vertex)
+            return real(g, vertex, *args, **kwargs)
+
+        monkeypatch.setattr(pathcentral.bench, "compute_reachability", counting)
+        report = run_benchmark(tiny_config(workers=1))
+        vertices = {r["vertex"] for r in report["rows"]}
+        assert len(report["rows"]) > len(vertices)
+        assert len(calls) <= len(vertices)
+        assert len(calls) == len(set(calls))
 
     def test_label_policy_picks_named_vertices(self):
         config = tiny_config(methods=["coverage"],

@@ -68,6 +68,26 @@ class TestEstimateCommands:
             assert one[key] == two[key]
         assert one["method"] == "sampled-paths"
 
+    def test_readme_example(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("a b\nb c\nc d\na c\nb d\n", encoding="utf-8")
+        payload = run_json(capsys, ["bc-estimate", "--graph", str(path), "--vertex", "b",
+                                    "--lambda", "0.05", "--delta", "0.1", "--seed", "4"])
+        assert payload.pop("wall_time") >= 0
+        assert payload == {
+            "contribution_bound": 0.16666666666666666,
+            "hits": 63,
+            "lower_conf": 0.020693718823339997,
+            "method": "sampled-paths",
+            "sample_budget": 800,
+            "samples": 222,
+            "seed": 4,
+            "stop_reason": "bounds-satisfied",
+            "upper_conf": 0.09723815855404314,
+            "value": 0.0472972972972973,
+            "vertex": "b",
+        }
+
     def test_fixed_samples_flag(self, capsys, diamond_file):
         payload = run_json(
             capsys,

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pathcentral.betweenness
 from pathcentral.adaptive import EstimatorConfig
 from pathcentral.betweenness import estimate_betweenness, estimate_coverage
 from pathcentral.exact import brandes_betweenness, exact_coverage
@@ -55,6 +56,22 @@ class TestBetweennessEstimates:
         a = diamond.id_of("a")
         est = estimate_betweenness(diamond, a, cfg(seed=17, fixed_samples=3000))
         assert math.isclose(est.value, est.hits * (1 / 12) / 3000, rel_tol=1e-9)
+
+    def test_off_path_root_never_builds_a_path_structure(self, shortcut, monkeypatch):
+        # b lies on no shortest path of (a, c) or (a, d): the distance test
+        # rejects every pair before the path structure is built.
+        builds = []
+        real = pathcentral.betweenness.build_shortest_path_dag
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pathcentral.betweenness, "build_shortest_path_dag", counting)
+        est = estimate_betweenness(shortcut, shortcut.id_of("b"), cfg(fixed_samples=200))
+        assert est.samples == 200
+        assert est.hits == 0 and est.value == 0.0
+        assert builds == []
 
     def test_same_seed_reproduces(self, diamond):
         a = diamond.id_of("a")

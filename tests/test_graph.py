@@ -91,6 +91,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DirectedGraph.from_edges([(0, 5)], vertex_count=3)
 
+    @pytest.mark.parametrize("pairs", [[(-1, 0), (0, 1)], [(0, 1), (1, -2)]])
+    def test_from_edges_rejects_negative_ids(self, pairs):
+        with pytest.raises(ValueError, match="out of range"):
+            DirectedGraph.from_edges(pairs)
+        with pytest.raises(ValueError, match="out of range"):
+            DirectedGraph.from_edges(pairs, vertex_count=3)
+
     def test_from_edges_rejects_label_length_mismatch(self):
         with pytest.raises(ValueError):
             DirectedGraph.from_edges([(0, 1)], labels=("only-one",))

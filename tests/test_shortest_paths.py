@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcentral.graph import DirectedGraph, loads_edge_list
+from pathcentral.graph import DirectedGraph, bfs_distances, loads_edge_list
 from pathcentral.reachability import compute_reachability
 from pathcentral.shortest_paths import (
+    _SearchSpace,
     build_shortest_path_dag,
     on_some_shortest_path,
     sample_uniform_path,
@@ -172,6 +173,19 @@ class TestDistanceOnly:
             assert got is None
         else:
             assert got == len(paths[0]) - 1
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_pairs, st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30))
+    def test_reused_space_matches_fresh_calls(self, pairs, queries):
+        # One scratch across many searches: a stale mark from an earlier
+        # search would show up as a wrong distance here.
+        g = DirectedGraph.from_edges(pairs, vertex_count=9)
+        space = _SearchSpace(g)
+        for s, t in queries:
+            got = shortest_path_length(g, s, t, space)
+            assert got == shortest_path_length(g, s, t)
+            assert got == bfs_distances(g, s).get(t)
 
 
 class TestMembershipCheck:
