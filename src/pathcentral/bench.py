@@ -139,8 +139,22 @@ def _exact_value(method: str, g: DirectedGraph, vertex: int,
     return None
 
 
-def _run_task(payload: tuple) -> dict[str, Any]:
-    (g, dataset, vertex, method, tolerance, failure_prob,
+# A pool worker's graphs by dataset name, filled once by the pool
+# initializer, so a task carries only its dataset name instead of a
+# pickled graph.
+_WORKER_GRAPHS: dict[str, DirectedGraph] = {}
+
+
+def _init_worker(graphs: dict[str, DirectedGraph]) -> None:
+    _WORKER_GRAPHS.update(graphs)
+
+
+def _run_pooled(payload: tuple) -> dict[str, Any]:
+    return _run_task(_WORKER_GRAPHS[payload[0]], payload)
+
+
+def _run_task(g: DirectedGraph, payload: tuple) -> dict[str, Any]:
+    (dataset, vertex, method, tolerance, failure_prob,
      rep, seed, kpath_spec, want_time) = payload
     if method == "kpath":
         cfg = KPathConfig(
@@ -209,6 +223,9 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     for spec in config.get("datasets", []):
         g = _load_dataset(spec)
         name = spec.get("name") or spec.get("path", "dataset")
+        if any(name == d[0] for d in datasets):
+            # rows, oracle values and worker graphs are all keyed by name
+            raise ValueError(f"duplicate dataset name {name!r}")
         scores = None
         if want_exact and g.vertex_count <= COVERAGE_GUARD:
             scores = brandes_betweenness_all(g)
@@ -238,18 +255,20 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
                 )
                 for tolerance in sorted(tolerances):
                     for rep in range(reps):
-                        tasks.append((g, name, vertex, method, tolerance,
+                        tasks.append((name, vertex, method, tolerance,
                                       failure_prob, rep, None, kpath_spec, want_time))
     prepared = [
-        task[:7] + (_task_seed(master_seed, i),) + task[8:]
+        task[:6] + (_task_seed(master_seed, i),) + task[7:]
         for i, task in enumerate(tasks)
     ]
 
+    graphs = {name: g for name, g, _, _ in datasets}
     if workers > 1 and len(prepared) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_task, prepared, chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(graphs,)) as pool:
+            rows = list(pool.map(_run_pooled, prepared, chunksize=1))
     else:
-        rows = [_run_task(p) for p in prepared]
+        rows = [_run_task(graphs[p[0]], p) for p in prepared]
 
     for row in rows:
         row.update(fractions[(row["dataset"], row["vertex"])])

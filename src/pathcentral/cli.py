@@ -140,10 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-def", choices=("original", "restricted"), default="original")
     p.add_argument("--count-sink-roots", action="store_true",
                    help="estimate roots with no outgoing edges instead of returning 0")
-    p.add_argument("--conservative-budget", action="store_true",
-                   help=argparse.SUPPRESS)
-    p.add_argument("--stopping-variant", choices=("two-sided", "legacy"),
-                   default="two-sided", help=argparse.SUPPRESS)
 
     p = sub.add_parser("reach", help="reachability summary around one vertex")
     _add_common(p)
@@ -235,8 +231,6 @@ def _cmd_kpath_estimate(args) -> dict:
         stopping=stopping,
         fixed_samples=fixed,
         count_sink_roots=args.count_sink_roots,
-        stopping_variant=args.stopping_variant,
-        conservative_budget=args.conservative_budget,
     )
     est = estimate_kpath_centrality(g, v, cfg)
     payload = _estimate_payload(args.vertex, "sampled-walks", est)

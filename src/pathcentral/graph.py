@@ -76,7 +76,8 @@ class DirectedGraph:
         dupes = 0
         min_id = 0
         max_id = -1
-        for u, v in edges:
+        for e in edges:
+            u, v = e
             if u > max_id:
                 max_id = u
             if v > max_id:
@@ -88,10 +89,13 @@ class DirectedGraph:
             if u == v:
                 loops += 1
                 continue
-            if (u, v) in edge_set:
+            # reuse the caller's pair as the set key; other sequences
+            # (lists, numpy rows) get a fresh tuple
+            key = e if type(e) is tuple else (u, v)
+            if key in edge_set:
                 dupes += 1
                 continue
-            edge_set.add((u, v))
+            edge_set.add(key)
         n = (max_id + 1) if vertex_count is None else vertex_count
         if min_id < 0 or max_id >= n:
             bad = min_id if min_id < 0 else max_id

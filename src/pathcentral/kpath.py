@@ -8,6 +8,12 @@ length and touched the root contributes the ratio of the walk's actual draw
 probability to its weight under the configured weighting, scaled by the
 upstream share; everything else contributes zero.
 
+A walk that has not touched the root yet stops as soon as the root is out
+of reach: at a vertex u with j steps left and d(u, root) > j it could only
+ever score zero, because a self-avoiding walk needs at least d(u, root)
+hops to get there. Stopping it draws nothing more, so each sample keeps its
+law and only hopeless walks get cheaper.
+
 Both the draw probability and the weight are products of reciprocals of
 small integers, so they are carried as integer denominator products and
 only combined at the end: the per-sample contribution is an exact integer
@@ -57,12 +63,7 @@ class KPathConfig:
     ``count_sink_roots=True`` lets a root with no outgoing edges be
     estimated (paths may end at the root, so its score can be positive);
     the default returns zero for such roots, matching the pair-sampling
-    convention. ``stopping_variant="legacy"`` swaps in an older pair of gap
-    expressions that are never positive, so the adaptive rule fires on the
-    first check; it is kept only for comparison runs and offers no
-    guarantee. ``conservative_budget=True`` floors the sample budget at its
-    upstream-share-of-1 value instead of letting it shrink quadratically
-    with the share.
+    convention.
     """
 
     k: int
@@ -73,8 +74,6 @@ class KPathConfig:
     stopping: str = "adaptive"
     fixed_samples: int | None = None
     count_sink_roots: bool = False
-    stopping_variant: str = "two-sided"
-    conservative_budget: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -91,10 +90,6 @@ class KPathConfig:
             )
         if self.stopping == "fixed" and (self.fixed_samples is None or self.fixed_samples < 1):
             raise ValueError("stopping='fixed' needs fixed_samples >= 1")
-        if self.stopping_variant not in ("two-sided", "legacy"):
-            raise ValueError(
-                f"stopping_variant must be 'two-sided' or 'legacy', got {self.stopping_variant!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,10 @@ class WalkSample:
     the walk (the draw probability is its reciprocal); ``weight_denominator``
     the product of the configured weight denominators. The former never
     exceeds the latter because the candidate sets are subsets of the weight
-    sets. ``completed`` is False when the candidate set emptied before the
-    target length was reached.
+    sets. ``completed`` is False when the walk stopped before the target
+    length: either the candidate set emptied, or the walk had not touched
+    the root and the root was farther than the steps left (such a walk
+    could never score).
     """
 
     vertices: tuple[int, ...]
@@ -126,20 +123,27 @@ class WalkSample:
 
 
 class _WalkSpace:
-    """Reusable scratch: domain bitmap plus epoch-stamped visited marks.
+    """Reusable scratch: domain bitmap, distances to the root, and
+    epoch-stamped visited marks.
 
-    Stamping makes clearing the visited set O(1) per walk, which keeps the
-    per-sample memory footprint at one integer per vertex regardless of how
-    many walks a run draws.
+    ``to_root[v]`` is the hop count from v to the root, or one more than
+    the vertex count when v is not upstream (no walk from v can reach the
+    root). Stamping makes clearing the visited set O(1) per walk, which
+    keeps the per-sample memory footprint at a few integers per vertex
+    regardless of how many walks a run draws.
     """
 
-    __slots__ = ("in_domain", "stamp", "epoch")
+    __slots__ = ("in_domain", "to_root", "stamp", "epoch")
 
-    def __init__(self, g: DirectedGraph, domain):
-        self.in_domain = bytearray(g.vertex_count)
-        for v in domain:
+    def __init__(self, g: DirectedGraph, reach: ReachabilityInfo):
+        n = g.vertex_count
+        self.in_domain = bytearray(n)
+        for v in reach.domain:
             self.in_domain[v] = 1
-        self.stamp = [0] * g.vertex_count
+        self.to_root = [n + 1] * n
+        for v, d in reach.dist_to_root.items():
+            self.to_root[v] = d
+        self.stamp = [0] * n
         self.epoch = 0
 
 
@@ -148,21 +152,16 @@ def compute_walk_budget(
     failure_prob: float,
     source_fraction: float,
     adaptive: bool = False,
-    conservative: bool = False,
 ) -> int:
     """Sample count sufficient for the target accuracy at the given range.
 
     Plain two-sided concentration over samples bounded by the source
     fraction; the adaptive variant spends only half the failure budget here
-    (the gap terms get the other half). ``conservative=True`` ignores the
-    quadratic shrinkage with the source fraction and keeps the full-range
-    budget as a floor.
+    (the gap terms get the other half).
     """
     risk = failure_prob / 2.0 if adaptive else failure_prob
     base = math.log(2.0 / risk) / (2.0 * tolerance**2)
     budget = math.ceil(source_fraction**2 * base)
-    if conservative:
-        budget = max(budget, math.ceil(base))
     return max(budget, 1)
 
 
@@ -180,18 +179,22 @@ def sample_walk(
     Starts at ``source`` (which must be upstream of the reachability root)
     and repeatedly steps to a uniformly drawn unvisited out-neighbor inside
     the root's domain. Stops short, with ``completed=False``, when no such
-    neighbor exists.
+    neighbor exists, or when the walk has not touched the root and the
+    root is more hops away than steps remain; the latter check runs before
+    each step draws, so a walk from a source too far from the root takes
+    no random words at all.
     """
     if target_length < 1:
         raise ValueError("target_length must be >= 1")
     if source not in reach.upstream:
         raise ValueError("walk sources must lie in the root's upstream set")
     if space is None:
-        space = _WalkSpace(g, reach.domain)
+        space = _WalkSpace(g, reach)
     space.epoch += 1
     epoch = space.epoch
     stamp = space.stamp
     in_domain = space.in_domain
+    to_root = space.to_root
     root = reach.root
 
     stamp[source] = epoch
@@ -203,7 +206,10 @@ def sample_walk(
     completed = True
     restricted = weight == "restricted"
 
-    for _ in range(target_length):
+    for steps_left in range(target_length, 0, -1):
+        if not contains and to_root[current] > steps_left:
+            completed = False
+            break
         neighbors = g._fwd[current]
         candidates = [v for v in neighbors if in_domain[v] and stamp[v] != epoch]
         if not candidates:
@@ -240,7 +246,9 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
     Scores, per sample, the upstream share scaled by the ratio of draw
     probability to walk weight, for complete walks that touched the root;
     stuck walks and misses contribute zero but still count, which is what
-    keeps the estimator unbiased over the walk space.
+    keeps the estimator unbiased over the walk space. A draw whose source
+    is farther from the root than its length scores zero without growing
+    a walk, consuming the same random words ``sample_walk`` would.
     """
     started = time.perf_counter()
     rng, seed = make_rng(cfg.seed)
@@ -258,36 +266,27 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
         budget = cfg.fixed_samples
         gap_terms = None
     elif cfg.stopping == "hoeffding":
-        budget = compute_walk_budget(
-            cfg.tolerance, cfg.failure_prob, bound, adaptive=False,
-            conservative=cfg.conservative_budget,
-        )
+        budget = compute_walk_budget(cfg.tolerance, cfg.failure_prob, bound)
         gap_terms = None
     else:
-        budget = compute_walk_budget(
-            cfg.tolerance, cfg.failure_prob, bound, adaptive=True,
-            conservative=cfg.conservative_budget,
-        )
+        budget = compute_walk_budget(cfg.tolerance, cfg.failure_prob, bound, adaptive=True)
         risk = cfg.failure_prob / 4.0
-        if cfg.stopping_variant == "two-sided":
 
-            def gap_terms(mean: float, tau: int) -> tuple[float, float]:
-                return stopping_terms(mean, tau, budget, bound, risk, risk)
-
-        else:
-
-            def gap_terms(mean: float, tau: int) -> tuple[float, float]:
-                return _legacy_gap_terms(mean, tau, budget, bound, risk)
+        def gap_terms(mean: float, tau: int) -> tuple[float, float]:
+            return stopping_terms(mean, tau, budget, bound, risk, risk)
 
     n = g.vertex_count
     n_src = len(sources)
-    space = _WalkSpace(g, reach.domain)
+    space = _WalkSpace(g, reach)
+    to_root = space.to_root
     k = cfg.k
     weighting = cfg.weight
 
     def draw() -> float:
         s = sources[int(rng.integers(n_src))]
         length = int(rng.integers(1, k + 1))
+        if to_root[s] > length:
+            return 0.0
         walk = sample_walk(g, reach, s, length, rng, weight=weighting, space=space)
         assert walk.probability_denominator <= walk.weight_denominator
         if walk.completed and walk.contains_mark:
@@ -315,21 +314,3 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
         wall_time=time.perf_counter() - started,
         hits=hits,
     )
-
-
-def _legacy_gap_terms(
-    mean: float, tau: int, budget: int, fraction: float, risk: float
-) -> tuple[float, float]:
-    """Older gap pair kept for comparison runs.
-
-    Both terms are the negation of a nonnegative quantity, so they can
-    never exceed a positive tolerance: a run under this variant stops at
-    the very first check and its result carries no accuracy guarantee.
-    """
-    log_r = math.log(1.0 / risk)
-    mass = budget * fraction
-    inner = 1.0 / 3.0 - mass / tau
-    value = (-log_r / tau) * (
-        inner + math.sqrt(inner * inner + 2.0 * mean * mass / log_r)
-    )
-    return value, value

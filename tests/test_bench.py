@@ -108,11 +108,39 @@ class TestRunBenchmark:
         assert all("avg_time" in c and "max_time" in c for c in report["cells"])
 
     def test_worker_pool_matches_serial(self):
-        config = tiny_config(methods=["betweenness"], reps=2,
-                             vertices={"policy": "top-betweenness", "count": 1})
-        serial = report_to_json(run_benchmark(config, workers=1))
-        pooled = report_to_json(run_benchmark(config, workers=2))
-        assert serial == pooled
+        config = tiny_config(
+            methods=["betweenness", "kpath"], reps=2,
+            vertices={"policy": "top-betweenness", "count": 1},
+            datasets=tiny_config()["datasets"] + [
+                {"name": "tiny-layered", "generator": "layered",
+                 "params": {"layers": 4, "width": 4, "seed": 2}},
+            ],
+        )
+        serial = run_benchmark(config, workers=1)
+        assert {r["dataset"] for r in serial["rows"]} == {"tiny-random", "tiny-layered"}
+        pooled = run_benchmark(config, workers=2)
+        assert report_to_json(serial) == report_to_json(pooled)
+
+    def test_pool_gets_each_graph_once_per_worker(self, monkeypatch):
+        # tasks carry dataset names; the graphs reach the workers through
+        # the pool initializer, pickled at most once per worker
+        pickled = []
+        real = DirectedGraph.__reduce_ex__
+
+        def counting(graph, protocol):
+            pickled.append(graph)
+            return real(graph, protocol)
+
+        monkeypatch.setattr(DirectedGraph, "__reduce_ex__", counting)
+        config = tiny_config(methods=["coverage"], reps=3)
+        report = run_benchmark(config, workers=2)
+        assert len(report["rows"]) > 2
+        assert len(pickled) <= 2
+
+    def test_duplicate_dataset_names_rejected(self):
+        twice = tiny_config()["datasets"] * 2
+        with pytest.raises(ValueError, match="duplicate dataset"):
+            run_benchmark(tiny_config(datasets=twice))
 
     def test_reachability_runs_once_per_vertex(self, monkeypatch):
         calls = []

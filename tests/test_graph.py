@@ -98,6 +98,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             DirectedGraph.from_edges(pairs, vertex_count=3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(edge_pairs)
+    def test_list_pairs_build_the_same_graph_as_tuples(self, pairs):
+        # a tuple pair is its own dedupe key; a list pair gets one made
+        want = DirectedGraph.from_edges(pairs, vertex_count=8)
+        got = DirectedGraph.from_edges([list(e) for e in pairs], vertex_count=8)
+        assert list(got.edges()) == list(want.edges())
+        assert (got.duplicates_dropped, got.self_loops_dropped) == (
+            want.duplicates_dropped, want.self_loops_dropped
+        )
+
     def test_from_edges_rejects_label_length_mismatch(self):
         with pytest.raises(ValueError):
             DirectedGraph.from_edges([(0, 1)], labels=("only-one",))

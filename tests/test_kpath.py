@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pathcentral.adaptive import CompensatedSum
 from pathcentral.exact import exact_kpath
 from pathcentral.generate import random_digraph
-from pathcentral.graph import loads_edge_list
+from pathcentral.graph import DirectedGraph, loads_edge_list
 from pathcentral.kpath import (
     KPathConfig,
     compute_walk_budget,
@@ -43,12 +46,6 @@ class TestWalkBudget:
         assert third == 67
         assert third < full / 8
 
-    def test_conservative_floor_restores_the_full_budget(self):
-        normal = compute_walk_budget(0.05, 0.1, 1 / 3, adaptive=True)
-        floored = compute_walk_budget(0.05, 0.1, 1 / 3, adaptive=True, conservative=True)
-        assert normal == 82
-        assert floored == 738
-
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -62,7 +59,6 @@ class TestConfigValidation:
             dict(k=2, stopping="forever"),
             dict(k=2, stopping="fixed"),
             dict(k=2, stopping="fixed", fixed_samples=0),
-            dict(k=2, stopping_variant="three-sided"),
         ],
     )
     def test_bad_options_rejected(self, kwargs):
@@ -130,6 +126,97 @@ class TestSampleWalk:
         reach = compute_reachability(three_path, three_path.id_of("b"))
         with pytest.raises(ValueError):
             sample_walk(three_path, reach, three_path.id_of("a"), 0, np.random.default_rng(0))
+
+
+class TestRootOutOfReach:
+    """A walk that has not touched the root stops once the root is farther
+    than the steps it has left; it could never score from there."""
+
+    @pytest.fixture
+    def chain(self):
+        """a -> b -> c -> d, scored at root c."""
+        g = loads_edge_list("a b\nb c\nc d\n")
+        return g, compute_reachability(g, g.id_of("c"))
+
+    def test_root_on_the_last_step_is_not_cut(self, chain):
+        g, reach = chain
+        walk = sample_walk(g, reach, g.id_of("a"), 2, np.random.default_rng(0))
+        assert walk.vertices == (g.id_of("a"), g.id_of("b"), g.id_of("c"))
+        assert walk.completed and walk.contains_mark
+
+    def test_root_beyond_the_length_stops_at_once(self, chain):
+        g, reach = chain
+        walk = sample_walk(g, reach, g.id_of("a"), 1, np.random.default_rng(0))
+        assert walk.vertices == (g.id_of("a"),)
+        assert not walk.completed and not walk.contains_mark
+        assert walk.probability_denominator == walk.weight_denominator == 1
+
+    def test_a_cut_walk_draws_no_random_words(self):
+        # a branches to b and x, both two hops from the root c: an uncut
+        # first step would draw between them
+        g = loads_edge_list("a b\nb c\nc d\na x\nx c\n")
+        reach = compute_reachability(g, g.id_of("c"))
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        walk = sample_walk(g, reach, g.id_of("a"), 1, rng)
+        assert walk.vertices == (g.id_of("a"),) and not walk.completed
+        assert rng.bit_generator.state == before
+
+    def test_walk_stops_on_a_vertex_that_is_not_upstream(self):
+        # from a the walk steps to the root r or to y, which is downstream
+        # only; at y the root is out of reach, so the walk ends there
+        # instead of going on to z
+        g = loads_edge_list("a r\nr y\na y\ny z\n")
+        a, r, y, z = (g.id_of(lab) for lab in "aryz")
+        reach = compute_reachability(g, r)
+        seen = set()
+        for seed in range(20):
+            walk = sample_walk(g, reach, a, 3, np.random.default_rng(seed))
+            seen.add(walk.vertices)
+            if walk.vertices[1] == y:
+                assert walk.vertices == (a, y)
+                assert not walk.completed and not walk.contains_mark
+            else:
+                assert walk.vertices == (a, r, y, z)
+                assert walk.completed and walk.contains_mark
+        assert seen == {(a, y), (a, r, y, z)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30),
+    st.integers(0, 7),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_estimate_matches_a_replay_through_sample_walk(pairs, root, k, seed):
+    # The estimator skips sample_walk for sources farther from the root than
+    # the drawn length; sample_walk itself cuts such walks before drawing.
+    # If the two checks ever disagreed, the random streams would part.
+    g = DirectedGraph.from_edges(pairs, vertex_count=8)
+    roots = [v for v in g.vertices() if g.in_degree(v) and g.out_degree(v)]
+    if not roots:
+        return
+    root = roots[root % len(roots)]
+    tau = 200
+    est = estimate_kpath_centrality(
+        g, root, KPathConfig(k=k, seed=seed, stopping="fixed", fixed_samples=tau)
+    )
+    reach = compute_reachability(g, root)
+    sources = tuple(sorted(reach.upstream))
+    rng = np.random.default_rng(seed)
+    acc = CompensatedSum()
+    hits = 0
+    for _ in range(tau):
+        s = sources[int(rng.integers(len(sources)))]
+        length = int(rng.integers(1, k + 1))
+        walk = sample_walk(g, reach, s, length, rng)
+        if walk.completed and walk.contains_mark:
+            acc.add(len(sources) * walk.probability_denominator
+                    / (g.vertex_count * walk.weight_denominator))
+            hits += 1
+    assert est.hits == hits
+    assert est.value == acc.value / tau
 
 
 class TestKPathEstimates:
@@ -207,14 +294,6 @@ class TestKPathEstimates:
         assert est.lower_conf == est.value - 0.05
         assert est.upper_conf == est.value + 0.05
 
-    def test_legacy_variant_stops_immediately(self, three_cycle):
-        a = three_cycle.id_of("a")
-        est = estimate_kpath_centrality(
-            three_cycle, a, kcfg(k=2, seed=7, stopping_variant="legacy")
-        )
-        assert est.samples == 1
-        assert est.stop_reason == "bounds-satisfied"
-
     def test_weightings_agree_when_the_domain_is_everything(self, three_cycle):
         # strongly connected: every neighbor is in the domain, so the two
         # weightings produce identical walks and identical estimates
@@ -227,8 +306,3 @@ class TestKPathEstimates:
             )
         assert runs["original"].value == runs["restricted"].value
         assert runs["original"].hits == runs["restricted"].hits
-
-    def test_conservative_budget_floors_at_full_range(self, three_path):
-        b = three_path.id_of("b")
-        est = estimate_kpath_centrality(three_path, b, kcfg(k=2, conservative_budget=True))
-        assert est.sample_budget == 738
