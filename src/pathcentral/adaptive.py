@@ -6,7 +6,12 @@ running mean, and stop as soon as either a fallback sample budget is
 exhausted or two concentration gap terms around the running mean both drop
 below the requested tolerance. The budget alone guarantees the additive
 error with half the failure probability; the two gap terms spend a quarter
-each, so a run that stops early keeps the overall guarantee.
+each (``gap_term_risk``), so a run that stops early keeps the overall
+guarantee.
+
+Each estimator supplies only its draw, its budget, its contribution bound
+and its gap terms; ``run_sampling_loop`` runs the draws, applies the stopping
+rule and builds the ``Estimate``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "Estimate",
     "CompensatedSum",
     "compute_sample_budget",
+    "gap_term_risk",
     "stopping_terms",
     "run_sampling_loop",
     "make_rng",
@@ -50,7 +56,6 @@ class EstimatorConfig:
 
     tolerance: float
     failure_prob: float
-    budget_constant: float = 0.5
     seed: int | None = None
     mode: str = "restricted"
     fixed_samples: int | None = None
@@ -61,17 +66,15 @@ class EstimatorConfig:
             raise ValueError("tolerance must be in (0, 1)")
         if not (0.0 < self.failure_prob < 1.0):
             raise ValueError("failure_prob must be in (0, 1)")
-        if self.budget_constant <= 0.0:
-            raise ValueError("budget_constant must be positive")
         if self.mode not in ("restricted", "baseline"):
             raise ValueError(f"mode must be 'restricted' or 'baseline', got {self.mode!r}")
         if self.fixed_samples is not None and self.fixed_samples < 1:
             raise ValueError("fixed_samples must be >= 1")
 
-    @property
-    def gap_risk(self) -> float:
-        """Failure probability spent on each of the two gap terms."""
-        return self.failure_prob / 4.0
+
+def gap_term_risk(failure_prob: float) -> float:
+    """Share of the failure probability spent on each of the two gap terms."""
+    return failure_prob / 4.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,8 @@ class Estimate:
     for k-path), so ``0 <= value <= contribution_bound`` always holds.
     ``lower_conf``/``upper_conf`` are ``value`` minus/plus the final gap
     terms; they are None when the run had no gap terms to evaluate (fixed
-    sample counts, degenerate zeros). ``hits`` counts samples with nonzero
+    sample counts), ``value`` -/+ the tolerance under k-path's hoeffding
+    rule, and 0.0 for degenerate zeros. ``hits`` counts samples with nonzero
     contribution, a cheap diagnostic for how often the root was actually
     seen.
     """
@@ -127,7 +131,6 @@ def compute_sample_budget(
     tolerance: float,
     failure_prob: float,
     diameter_vertex_bound: int,
-    budget_constant: float = 0.5,
 ) -> int:
     """Fallback sample count sufficient for the (tolerance, failure) target.
 
@@ -137,9 +140,7 @@ def compute_sample_budget(
     """
     vd = diameter_vertex_bound
     level_term = (vd - 2).bit_length() - 1 if vd >= 4 else 0
-    raw = (budget_constant / tolerance**2) * (
-        level_term + 1 + math.log(2.0 / failure_prob)
-    )
+    raw = (0.5 / tolerance**2) * (level_term + 1 + math.log(2.0 / failure_prob))
     return math.ceil(raw)
 
 
@@ -185,20 +186,26 @@ def make_rng(seed: int | None) -> tuple[np.random.Generator, int]:
 
 def run_sampling_loop(
     draw: Callable[[], float],
-    sample_budget: int,
+    budget: int,
     tolerance: float,
     gap_terms: Callable[[float, int], tuple[float, float]] | None,
-) -> tuple[float, int, int, str, float | None, float | None]:
-    """Drive one estimation run to its stopping point.
+    bound: float,
+    seed: int,
+    started: float,
+) -> Estimate:
+    """Drive one estimation run to its stopping point and report it.
 
-    ``draw`` produces one per-sample contribution. ``gap_terms(mean, tau)``
-    evaluates the two adaptive gap terms, or is None when only the budget
-    should stop the run (fixed sample counts, plain concentration budgets).
+    ``draw`` produces one per-sample contribution in ``[0, bound]``.
+    ``gap_terms(mean, tau)`` evaluates the two adaptive gap terms, or is
+    None when only the budget should stop the run (fixed sample counts,
+    plain concentration budgets); then ``lower_conf``/``upper_conf`` are
+    None. ``seed`` is the concrete seed of the run's generator and
+    ``started`` its ``time.perf_counter()`` start, for ``wall_time``.
 
-    Returns (mean, samples, hits, stop_reason, final_lower_gap,
-    final_upper_gap). The adaptive check runs before every draw from the
-    second sample on, so a stop at the budget means the gaps were still too
-    wide at budget - 1.
+    The adaptive check runs before every draw from the second sample on, so
+    a stop at the budget means the gaps were still too wide at budget - 1;
+    only then are they evaluated once more for the final mean. A
+    ``bounds-satisfied`` stop reports the gaps that passed the check.
     """
     acc = CompensatedSum()
     tau = 0
@@ -206,7 +213,7 @@ def run_sampling_loop(
     stop_reason = "budget-reached"
     a = b = None
     while True:
-        if tau >= sample_budget:
+        if tau >= budget:
             break
         if tau >= 1 and gap_terms is not None:
             a, b = gap_terms(acc.value / tau, tau)
@@ -219,9 +226,20 @@ def run_sampling_loop(
             hits += 1
         tau += 1
     mean = acc.value / tau if tau > 0 else 0.0
-    if gap_terms is not None and tau > 0:
+    if gap_terms is not None and tau > 0 and stop_reason == "budget-reached":
         a, b = gap_terms(mean, tau)
-    return mean, tau, hits, stop_reason, a, b
+    return Estimate(
+        value=mean,
+        samples=tau,
+        sample_budget=budget,
+        contribution_bound=bound,
+        stop_reason=stop_reason,
+        lower_conf=None if a is None else mean - a,
+        upper_conf=None if b is None else mean + b,
+        seed=seed,
+        wall_time=time.perf_counter() - started,
+        hits=hits,
+    )
 
 
 def degenerate_estimate(seed: int, started: float) -> Estimate:

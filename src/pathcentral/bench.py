@@ -118,6 +118,13 @@ def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], master_seed: int) -
     raise ValueError(f"unknown vertex policy {kind!r}")
 
 
+def _section(config: dict[str, Any], key: str) -> dict[str, Any]:
+    value = config.get(key, DEFAULT_CONFIG[key])
+    if not isinstance(value, dict):
+        raise ValueError(f"config {key!r} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _task_seed(master_seed: int, index: int) -> int:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -203,6 +210,8 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     average and maximum error and time over the repetitions. Error columns
     appear when the matching exact oracle is feasible for the dataset.
     """
+    if not isinstance(config, dict):
+        raise ValueError("a benchmark config must be a JSON object")
     master_seed = int(config.get("seed", DEFAULT_CONFIG["seed"]))
     reps = int(config.get("reps", 3))
     want_time = bool(config.get("timing", True))
@@ -211,16 +220,19 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; known: {METHODS}")
-    grid = config.get("grid", DEFAULT_CONFIG["grid"])
+    grid = _section(config, "grid")
     tolerances = [float(t) for t in grid.get("tolerances", [0.05])]
     failure_prob = float(grid.get("failure_prob", 0.1))
-    kpath_spec = config.get("kpath", DEFAULT_CONFIG["kpath"])
+    kpath_spec = _section(config, "kpath")
     if workers is None:
         workers = int(config.get("workers", 1))
 
-    policy = config.get("vertices", DEFAULT_CONFIG["vertices"])
+    policy = _section(config, "vertices")
+    specs = config.get("datasets", [])
+    if not isinstance(specs, list) or not all(isinstance(spec, dict) for spec in specs):
+        raise ValueError("config 'datasets' must be a list of objects")
     datasets = []
-    for spec in config.get("datasets", []):
+    for spec in specs:
         g = _load_dataset(spec)
         name = spec.get("name") or spec.get("path", "dataset")
         if any(name == d[0] for d in datasets):

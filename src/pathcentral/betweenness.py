@@ -20,6 +20,7 @@ from .adaptive import (
     EstimatorConfig,
     compute_sample_budget,
     degenerate_estimate,
+    gap_term_risk,
     make_rng,
     run_sampling_loop,
     stopping_terms,
@@ -36,39 +37,13 @@ from .shortest_paths import (
 __all__ = ["estimate_betweenness", "estimate_coverage"]
 
 
-def _finish(
-    mean: float,
-    samples: int,
-    hits: int,
-    stop_reason: str,
-    gap_lo: float | None,
-    gap_hi: float | None,
-    budget: int,
-    bound: float,
-    seed: int,
-    started: float,
-) -> Estimate:
-    return Estimate(
-        value=mean,
-        samples=samples,
-        sample_budget=budget,
-        contribution_bound=bound,
-        stop_reason=stop_reason,
-        lower_conf=None if gap_lo is None else mean - gap_lo,
-        upper_conf=None if gap_hi is None else mean + gap_hi,
-        seed=seed,
-        wall_time=time.perf_counter() - started,
-        hits=hits,
-    )
-
-
 def _pair_loop(
     g: DirectedGraph,
     root: int,
     cfg: EstimatorConfig,
     hit_test,
 ) -> Estimate:
-    """Common driver: draw endpoint pairs, score hits, stop adaptively.
+    """Draw endpoint pairs for the root and score them in ``run_sampling_loop``.
 
     ``hit_test(rng, reach, s, t, space)`` decides whether the drawn pair
     counts for the root; ``space`` is search scratch allocated once per run.
@@ -87,32 +62,25 @@ def _pair_loop(
     if cfg.mode == "baseline":
         pool = tuple(v for v in g.vertices() if v != root)
         sources = targets = pool
-        hit_value = 1.0
-        stop_fraction = 1.0
         bound = 1.0
     else:
         sources = tuple(sorted(reach.upstream))
         targets = tuple(sorted(reach.downstream))
         if not sources or not targets:
             return degenerate_estimate(seed, started)
-        hit_value = float(reach.pair_fraction)
-        stop_fraction = hit_value
-        bound = hit_value
+        bound = float(reach.pair_fraction)
 
     budget = compute_sample_budget(
-        cfg.tolerance,
-        cfg.failure_prob,
-        reach.diameter_vertex_bound,
-        cfg.budget_constant,
+        cfg.tolerance, cfg.failure_prob, reach.diameter_vertex_bound
     )
     if cfg.fixed_samples is not None:
         budget = cfg.fixed_samples
         gap_terms = None
     else:
-        risk = cfg.gap_risk
+        risk = gap_term_risk(cfg.failure_prob)
 
         def gap_terms(mean: float, tau: int) -> tuple[float, float]:
-            return stopping_terms(mean, tau, budget, stop_fraction, risk, risk)
+            return stopping_terms(mean, tau, budget, bound, risk, risk)
 
     n_src = len(sources)
     n_tgt = len(targets)
@@ -123,12 +91,9 @@ def _pair_loop(
         t = targets[rng.integers(n_tgt)]
         if s == t:
             return 0.0
-        return hit_value if hit_test(rng, reach, s, t, space) else 0.0
+        return bound if hit_test(rng, reach, s, t, space) else 0.0
 
-    mean, tau, hits, reason, gap_lo, gap_hi = run_sampling_loop(
-        draw, budget, cfg.tolerance, gap_terms
-    )
-    return _finish(mean, tau, hits, reason, gap_lo, gap_hi, budget, bound, seed, started)
+    return run_sampling_loop(draw, budget, cfg.tolerance, gap_terms, bound, seed, started)
 
 
 def estimate_betweenness(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> Estimate:

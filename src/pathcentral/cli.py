@@ -37,10 +37,6 @@ def _load_graph(path: str) -> DirectedGraph:
         return load_edge_list(fh)
 
 
-def _vertex_id(g: DirectedGraph, label: str) -> int:
-    return g.id_of(label)
-
-
 def _emit(obj: dict, as_table: bool) -> None:
     if as_table:
         width = max(len(k) for k in obj)
@@ -108,27 +104,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-def", choices=("original", "restricted"), default="original",
                    help="walk-weight denominator definition")
 
-    p = sub.add_parser("bc-estimate", help="adaptive betweenness estimate")
-    _add_common(p)
-    p.add_argument("--vertex", required=True)
-    _add_accuracy(p)
-    p.add_argument("--baseline", action="store_true",
-                   help="sample endpoints from all non-root vertices")
-    p.add_argument("--fixed-samples", type=int, default=None, metavar="N",
-                   help="disable the adaptive rule and draw exactly N samples")
-    p.add_argument("--diameter-mode", choices=("domain", "global"), default="domain")
-    p.add_argument("--budget-constant", type=float, default=0.5,
-                   help=argparse.SUPPRESS)
-
-    p = sub.add_parser("coverage-estimate", help="adaptive coverage estimate")
-    _add_common(p)
-    p.add_argument("--vertex", required=True)
-    _add_accuracy(p)
-    p.add_argument("--baseline", action="store_true")
-    p.add_argument("--fixed-samples", type=int, default=None, metavar="N")
-    p.add_argument("--diameter-mode", choices=("domain", "global"), default="domain")
-    p.add_argument("--budget-constant", type=float, default=0.5,
-                   help=argparse.SUPPRESS)
+    # bc-estimate and coverage-estimate take the same options; only
+    # bc-estimate's help describes the sampling flags.
+    for name, measure in (("bc-estimate", "betweenness"), ("coverage-estimate", "coverage")):
+        described = name == "bc-estimate"
+        p = sub.add_parser(name, help=f"adaptive {measure} estimate")
+        _add_common(p)
+        p.add_argument("--vertex", required=True)
+        _add_accuracy(p)
+        p.add_argument("--baseline", action="store_true",
+                       help="sample endpoints from all non-root vertices" if described else None)
+        p.add_argument("--fixed-samples", type=int, default=None, metavar="N",
+                       help="disable the adaptive rule and draw exactly N samples"
+                       if described else None)
+        p.add_argument("--diameter-mode", choices=("domain", "global"), default="domain")
 
     p = sub.add_parser("kpath-estimate", help="k-path centrality estimate")
     _add_common(p)
@@ -176,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_exact(args) -> dict:
     g = _load_graph(args.graph)
-    v = _vertex_id(g, args.vertex)
+    v = g.id_of(args.vertex)
     if args.command == "bc-exact":
         if args.method == "restricted":
             value = restricted_pair_betweenness(g, v)
@@ -193,11 +182,10 @@ def _cmd_exact(args) -> dict:
 
 def _cmd_estimate(args) -> dict:
     g = _load_graph(args.graph)
-    v = _vertex_id(g, args.vertex)
+    v = g.id_of(args.vertex)
     cfg = EstimatorConfig(
         tolerance=args.tolerance,
         failure_prob=args.failure_prob,
-        budget_constant=args.budget_constant,
         seed=args.seed,
         mode="baseline" if args.baseline else "restricted",
         fixed_samples=args.fixed_samples,
@@ -216,7 +204,7 @@ def _cmd_estimate(args) -> dict:
 
 def _cmd_kpath_estimate(args) -> dict:
     g = _load_graph(args.graph)
-    v = _vertex_id(g, args.vertex)
+    v = g.id_of(args.vertex)
     stopping = args.stopping
     fixed = None
     if stopping.startswith("fixed:"):
@@ -243,7 +231,7 @@ def _cmd_kpath_estimate(args) -> dict:
 
 def _cmd_reach(args) -> dict:
     g = _load_graph(args.graph)
-    v = _vertex_id(g, args.vertex)
+    v = g.id_of(args.vertex)
     reach = compute_reachability(g, v, diameter_mode=args.diameter_mode)
     return {
         "vertex": args.vertex,
@@ -287,8 +275,8 @@ def _cmd_sample_path(args) -> dict:
     import numpy as np
 
     g = _load_graph(args.graph)
-    s = _vertex_id(g, args.source)
-    t = _vertex_id(g, args.target)
+    s = g.id_of(args.source)
+    t = g.id_of(args.target)
     dag = build_shortest_path_dag(g, s, t)
     if dag is None:
         return {"source": args.source, "target": args.target, "reachable": False}

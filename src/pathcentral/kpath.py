@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .adaptive import (
     Estimate,
     degenerate_estimate,
+    gap_term_risk,
     make_rng,
     run_sampling_loop,
     stopping_terms,
@@ -270,7 +271,7 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
         gap_terms = None
     else:
         budget = compute_walk_budget(cfg.tolerance, cfg.failure_prob, bound, adaptive=True)
-        risk = cfg.failure_prob / 4.0
+        risk = gap_term_risk(cfg.failure_prob)
 
         def gap_terms(mean: float, tau: int) -> tuple[float, float]:
             return stopping_terms(mean, tau, budget, bound, risk, risk)
@@ -293,24 +294,9 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
             return n_src * walk.probability_denominator / (n * walk.weight_denominator)
         return 0.0
 
-    mean, tau, hits, reason, gap_lo, gap_hi = run_sampling_loop(
-        draw, budget, cfg.tolerance, gap_terms
-    )
-    if gap_terms is None and cfg.stopping == "hoeffding":
-        lower, upper = mean - cfg.tolerance, mean + cfg.tolerance
-    elif gap_lo is not None:
-        lower, upper = mean - gap_lo, mean + gap_hi
-    else:
-        lower = upper = None
-    return Estimate(
-        value=mean,
-        samples=tau,
-        sample_budget=budget,
-        contribution_bound=bound,
-        stop_reason=reason,
-        lower_conf=lower,
-        upper_conf=upper,
-        seed=seed,
-        wall_time=time.perf_counter() - started,
-        hits=hits,
-    )
+    est = run_sampling_loop(draw, budget, cfg.tolerance, gap_terms, bound, seed, started)
+    if cfg.stopping == "hoeffding":
+        est = replace(
+            est, lower_conf=est.value - cfg.tolerance, upper_conf=est.value + cfg.tolerance
+        )
+    return est

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from pathcentral.adaptive import (
     Estimate,
     EstimatorConfig,
     compute_sample_budget,
+    gap_term_risk,
     make_rng,
     run_sampling_loop,
     stopping_terms,
@@ -34,7 +36,6 @@ class TestSampleBudget:
         assert compute_sample_budget(0.05, 0.1, 6) > base
         assert compute_sample_budget(0.1, 0.05, 6) > base
         assert compute_sample_budget(0.1, 0.1, 60) > base
-        assert compute_sample_budget(0.1, 0.1, 6, budget_constant=1.0) > base
 
 
 class TestStoppingTerms:
@@ -101,8 +102,7 @@ class TestStoppingTerms:
 
 class TestConfig:
     def test_gap_risk_is_a_quarter(self):
-        cfg = EstimatorConfig(tolerance=0.05, failure_prob=0.2)
-        assert cfg.gap_risk == 0.05
+        assert gap_term_risk(0.2) == 0.05
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -111,7 +111,6 @@ class TestConfig:
             dict(tolerance=1.0, failure_prob=0.1),
             dict(tolerance=0.05, failure_prob=0.0),
             dict(tolerance=0.05, failure_prob=1.5),
-            dict(tolerance=0.05, failure_prob=0.1, budget_constant=0.0),
             dict(tolerance=0.05, failure_prob=0.1, mode="turbo"),
             dict(tolerance=0.05, failure_prob=0.1, fixed_samples=0),
         ],
@@ -153,39 +152,44 @@ class TestRng:
         assert replay.integers(10**9) == g1.integers(10**9)
 
 
+def run_loop(draw, budget, gap_terms):
+    return run_sampling_loop(draw, budget, 0.05, gap_terms, 1.0, 0, time.perf_counter())
+
+
 class TestSamplingLoop:
     def test_fixed_budget_runs_to_the_end(self):
         draws = iter([0.5, 0.0, 0.5, 0.5, 0.0])
-        mean, tau, hits, reason, a, b = run_sampling_loop(
-            lambda: next(draws), 5, 0.05, None
-        )
-        assert tau == 5
-        assert hits == 3
-        assert reason == "budget-reached"
-        assert a is None and b is None
-        assert math.isclose(mean, 0.3)
+        est = run_loop(lambda: next(draws), 5, None)
+        assert est.samples == 5
+        assert est.hits == 3
+        assert est.stop_reason == "budget-reached"
+        assert est.lower_conf is None and est.upper_conf is None
+        assert math.isclose(est.value, 0.3)
+        assert (est.sample_budget, est.contribution_bound, est.seed) == (5, 1.0, 0)
 
     def test_immediate_stop_when_gaps_are_tight(self):
-        mean, tau, hits, reason, a, b = run_sampling_loop(
-            lambda: 1.0, 1000, 0.05, lambda m, t: (0.0, 0.0)
-        )
-        assert reason == "bounds-satisfied"
-        assert tau == 1
-        assert (a, b) == (0.0, 0.0)
+        est = run_loop(lambda: 1.0, 1000, lambda m, t: (0.0, 0.0))
+        assert est.stop_reason == "bounds-satisfied"
+        assert est.samples == 1
+        assert (est.lower_conf, est.upper_conf) == (est.value - 0.0, est.value + 0.0)
 
     def test_final_gaps_reevaluated_at_exit(self):
+        calls = []
+
         def gaps(mean, tau):
+            calls.append(tau)
             return (1.0 / tau, 2.0 / tau)
 
-        mean, tau, hits, reason, a, b = run_sampling_loop(lambda: 0.0, 7, 0.05, gaps)
-        assert reason == "budget-reached"
-        assert tau == 7
-        assert (a, b) == (1.0 / 7, 2.0 / 7)
+        est = run_loop(lambda: 0.0, 7, gaps)
+        assert est.stop_reason == "budget-reached"
+        assert est.samples == 7
+        assert (est.lower_conf, est.upper_conf) == (est.value - 1.0 / 7, est.value + 2.0 / 7)
+        assert calls == [1, 2, 3, 4, 5, 6, 7]
 
     def test_zero_budget_never_draws(self):
-        mean, tau, hits, reason, a, b = run_sampling_loop(lambda: 1.0, 0, 0.05, None)
-        assert (mean, tau, hits) == (0.0, 0, 0)
-        assert reason == "budget-reached"
+        est = run_loop(lambda: 1.0, 0, None)
+        assert (est.value, est.samples, est.hits) == (0.0, 0, 0)
+        assert est.stop_reason == "budget-reached"
 
     def test_stop_requires_both_gaps(self):
         calls = []
@@ -194,9 +198,11 @@ class TestSamplingLoop:
             calls.append(tau)
             return (0.0, 0.06) if tau < 3 else (0.0, 0.0)
 
-        _, tau, _, reason, _, _ = run_sampling_loop(lambda: 0.5, 100, 0.05, gaps)
-        assert reason == "bounds-satisfied"
-        assert tau == 3
+        est = run_loop(lambda: 0.5, 100, gaps)
+        assert est.stop_reason == "bounds-satisfied"
+        assert est.samples == 3
+        # the gaps that passed are the ones reported: no second evaluation
+        assert calls == [1, 2, 3]
 
 
 def test_estimate_is_frozen():

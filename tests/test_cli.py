@@ -245,6 +245,23 @@ class TestStdinAndErrors:
         code = main(["bench", "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, section",
+        [
+            ({"grid": [0.05]}, "grid"),
+            ({"vertices": 3}, "vertices"),
+            ({"kpath": "k=5"}, "kpath"),
+            ({"datasets": ["hub"]}, "datasets"),
+        ],
+    )
+    def test_bench_section_of_the_wrong_type(self, capsys, tmp_path, config, section):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["bench", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config '{section}' must be" in err
+
 
 class TestBenchCommand:
     def test_end_to_end(self, capsys, tmp_path):

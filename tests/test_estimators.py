@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 import pathcentral.betweenness
 from pathcentral.adaptive import EstimatorConfig
 from pathcentral.betweenness import estimate_betweenness, estimate_coverage
 from pathcentral.exact import brandes_betweenness, exact_coverage
 from pathcentral.generate import random_digraph
 from pathcentral.graph import loads_edge_list
+from pathcentral.kpath import KPathConfig, estimate_kpath_centrality
 from pathcentral.reachability import compute_reachability
 
 
@@ -168,3 +171,45 @@ class TestCoverageEstimates:
         assert (one.value, one.samples, one.stop_reason) == (
             two.value, two.samples, two.stop_reason
         )
+
+
+# (value, samples, hits, stop_reason, lower_conf, upper_conf) for vertex 22,
+# the top-betweenness vertex of random_digraph(30, 0.1, seed=2), at
+# tolerance 0.05, failure_prob 0.1, seed 7 (k-path: k=4, original weights).
+# They move only when a sampler's random stream or stopping rule changes; a
+# refactor of the sampling machinery must reproduce them bit for bit.
+SEEDED_OUTPUTS = {
+    "betweenness": (0.23295380611581004, 848, 341, "bounds-satisfied",
+                    0.19155370236873148, 0.28294753225198377),
+    "coverage": (0.23485554520037283, 851, 345, "bounds-satisfied",
+                 0.1934092886469018, 0.2848338619757754),
+    "betweenness-baseline": (0.2316742081447964, 1105, 256, "bounds-satisfied",
+                             0.1904121103108367, 0.28160708569364834),
+    "betweenness-fixed": (0.23365517241379313, 300, 121, "budget-reached", None, None),
+    "kpath-adaptive": (0.11183241252302026, 362, 58, "budget-reached",
+                       0.07545145447122345, 0.16367003875980718),
+    "kpath-hoeffding": (0.10674603174603174, 294, 45, "budget-reached",
+                        0.05674603174603174, 0.15674603174603174),
+    "kpath-fixed": (0.10694444444444443, 300, 46, "budget-reached", None, None),
+}
+
+
+def _seeded_run(name: str):
+    g = random_digraph(30, 0.1, seed=2)
+    if name.startswith("kpath-"):
+        stopping = name.split("-", 1)[1]
+        return estimate_kpath_centrality(g, 22, KPathConfig(
+            k=4, tolerance=0.05, failure_prob=0.1, seed=7, stopping=stopping,
+            fixed_samples=300 if stopping == "fixed" else None,
+        ))
+    fn = estimate_coverage if name == "coverage" else estimate_betweenness
+    extra = {"betweenness-baseline": dict(mode="baseline"),
+             "betweenness-fixed": dict(fixed_samples=300)}.get(name, {})
+    return fn(g, 22, cfg(seed=7, **extra))
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_OUTPUTS))
+def test_seeded_outputs_are_pinned(name):
+    est = _seeded_run(name)
+    got = (est.value, est.samples, est.hits, est.stop_reason, est.lower_conf, est.upper_conf)
+    assert got == SEEDED_OUTPUTS[name]
