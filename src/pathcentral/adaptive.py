@@ -51,7 +51,7 @@ class EstimatorConfig:
     unrestricted convention, which normalizes by n-1 rather than n).
 
     ``fixed_samples`` disables the adaptive rule and runs exactly that many
-    samples.
+    samples. ``diameter_mode`` is passed to ``compute_reachability``.
     """
 
     tolerance: float
@@ -70,6 +70,8 @@ class EstimatorConfig:
             raise ValueError(f"mode must be 'restricted' or 'baseline', got {self.mode!r}")
         if self.fixed_samples is not None and self.fixed_samples < 1:
             raise ValueError("fixed_samples must be >= 1")
+        if self.diameter_mode not in ("domain", "global"):
+            raise ValueError(f"diameter_mode must be 'domain' or 'global', got {self.diameter_mode!r}")
 
 
 def gap_term_risk(failure_prob: float) -> float:

@@ -125,6 +125,12 @@ def _section(config: dict[str, Any], key: str) -> dict[str, Any]:
     return value
 
 
+def _list_of(value: Any, kind, key: str, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+        raise ValueError(f"config {key!r} must be a list of {what}")
+    return value
+
+
 def _task_seed(master_seed: int, index: int) -> int:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -216,21 +222,20 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     reps = int(config.get("reps", 3))
     want_time = bool(config.get("timing", True))
     want_exact = bool(config.get("exact", True))
-    methods = list(config.get("methods", ["betweenness"]))
+    methods = _list_of(config.get("methods", ["betweenness"]), str, "methods", "strings")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; known: {METHODS}")
     grid = _section(config, "grid")
-    tolerances = [float(t) for t in grid.get("tolerances", [0.05])]
+    tolerances = [float(t) for t in _list_of(
+        grid.get("tolerances", [0.05]), (int, float), "grid.tolerances", "numbers")]
     failure_prob = float(grid.get("failure_prob", 0.1))
     kpath_spec = _section(config, "kpath")
     if workers is None:
         workers = int(config.get("workers", 1))
 
     policy = _section(config, "vertices")
-    specs = config.get("datasets", [])
-    if not isinstance(specs, list) or not all(isinstance(spec, dict) for spec in specs):
-        raise ValueError("config 'datasets' must be a list of objects")
+    specs = _list_of(config.get("datasets", []), dict, "datasets", "objects")
     datasets = []
     for spec in specs:
         g = _load_dataset(spec)

@@ -8,12 +8,16 @@ coverage, and exhaustive simple-path enumeration for k-path scores.
 Everything below a configurable size threshold is computed in exact rational
 arithmetic so equality tests in higher layers are meaningful; above it the
 same code paths run in floats.
+
+Both betweenness oracles share one counting BFS on flat lists; Brandes'
+sweep finds predecessors by distance but still adds in reversed BFS order,
+so its float scores equal a predecessor-list sweep's bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
+from operator import truediv
 
 from .errors import GuardError
 from .graph import DirectedGraph
@@ -37,33 +41,28 @@ KPATH_VERTEX_GUARD = 15
 KPATH_LENGTH_GUARD = 5
 
 
-def _sigma_bfs(adj, source: int):
-    """BFS from ``source`` with path counting.
+def _count_paths(adj, source: int, dist: list[int], sigma: list[int]) -> list[int]:
+    """BFS from ``source`` counting shortest paths into flat lists.
 
-    Returns (dist, sigma, order, preds) over reached vertices; sigma values
-    are exact integers, order lists vertices by nondecreasing distance.
+    Expects ``dist`` to be -1 everywhere; fills ``dist`` and ``sigma`` for the
+    reached vertices and returns them in BFS order. The caller resets ``dist``
+    over that order; ``sigma`` outside it is stale and never read.
     """
-    dist = {source: 0}
-    sigma = {source: 1}
-    preds: dict[int, list[int]] = {source: []}
+    dist[source] = 0
+    sigma[source] = 1
     order = [source]
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
+    for u in order:  # the list doubles as the queue
+        du = dist[u] + 1
         su = sigma[u]
         for v in adj[u]:
-            dv = dist.get(v)
-            if dv is None:
-                dist[v] = du + 1
+            dv = dist[v]
+            if dv < 0:
+                dist[v] = du
                 sigma[v] = su
-                preds[v] = [u]
                 order.append(v)
-                queue.append(v)
-            elif dv == du + 1:
+            elif dv == du:
                 sigma[v] += su
-                preds[v].append(u)
-    return dist, sigma, order, preds
+    return order
 
 
 def brandes_betweenness_all(
@@ -75,6 +74,11 @@ def brandes_betweenness_all(
     ``exact_threshold`` vertices, floats above. Normalized by the number of
     ordered vertex pairs. Computing a single vertex costs the same as all
     of them, so callers that need several scores should call this once.
+
+    The sweep finds the predecessors of w among its in-neighbors u by
+    ``dist[u] == dist[w] - 1`` instead of storing them. Each ``delta[u]``
+    still receives its additions in reversed BFS order of w, with the same
+    coefficients, so float scores equal a predecessor-list sweep's bit for bit.
     """
     n = g.vertex_count
     if n < 2:
@@ -82,19 +86,23 @@ def brandes_betweenness_all(
     exact = n <= exact_threshold
     zero = Fraction(0) if exact else 0.0
     scores = [zero] * n
-    adj = g._fwd
+    rev = g._rev
+    dist = [-1] * n
+    sigma = [0] * n
+    delta = [zero] * n
     for s in range(n):
-        _, sigma, order, preds = _sigma_bfs(adj, s)
-        delta = dict.fromkeys(order, zero)
-        for w in reversed(order):
-            if exact:
-                coeff = (1 + delta[w]) / sigma[w]
-            else:
-                coeff = (1.0 + delta[w]) / sigma[w]
-            for u in preds[w]:
-                delta[u] += sigma[u] * coeff
-            if w != s:
-                scores[w] += delta[w]
+        order = _count_paths(g._fwd, s, dist, sigma)
+        # every reached vertex but the source, farthest first
+        for w in order[:0:-1]:
+            pred_dist = dist[w] - 1
+            coeff = (1 + delta[w]) / sigma[w]
+            for u in rev[w]:
+                if dist[u] == pred_dist:
+                    delta[u] += sigma[u] * coeff
+            scores[w] += delta[w]
+        for v in order:
+            dist[v] = -1
+            delta[v] = zero
     denom = n * (n - 1)
     return [v / denom for v in scores]
 
@@ -132,27 +140,25 @@ def restricted_pair_betweenness(
     if not reach.upstream or not reach.downstream:
         return Fraction(0) if exact else 0.0
 
-    adj = g._fwd
-    _, sigma_from_root, _, _ = _sigma_bfs(adj, root)
-    dist_from_root = reach.dist_from_root
+    from_root = [-1] * n
+    sigma_from_root = [0] * n
+    _count_paths(g._fwd, root, from_root, sigma_from_root)
     targets = sorted(reach.downstream)
+    dist = [-1] * n
+    sigma = [0] * n
 
     total = Fraction(0) if exact else 0.0
+    divide = Fraction if exact else truediv
     for s in sorted(reach.upstream):
-        dist_s, sigma_s, _, _ = _sigma_bfs(adj, s)
-        d_to_root = dist_s[root]
-        count_to_root = sigma_s[root]
+        order = _count_paths(g._fwd, s, dist, sigma)
+        d_to_root = dist[root]
+        count_to_root = sigma[root]
         for t in targets:
-            if t == s:
-                continue
-            dt = dist_s.get(t)
-            if dt is None or d_to_root + dist_from_root[t] != dt:
-                continue
-            through = count_to_root * sigma_from_root[t]
-            if exact:
-                total += Fraction(through, sigma_s[t])
-            else:
-                total += through / sigma_s[t]
+            # each leg is at least one hop, so t == s and unreached t fail
+            if d_to_root + from_root[t] == dist[t]:
+                total += divide(count_to_root * sigma_from_root[t], sigma[t])
+        for v in order:
+            dist[v] = -1
     return total / (n * (n - 1))
 
 

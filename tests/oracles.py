@@ -9,6 +9,7 @@ library against these, the two sides share no traversal code.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from pathcentral.graph import DirectedGraph
@@ -111,6 +112,50 @@ def betweenness_by_enumeration(g: DirectedGraph) -> list[Fraction]:
                 if through:
                     scores[r] += Fraction(through, sigma)
     return [sc / (n * (n - 1)) for sc in scores]
+
+
+def brandes_with_predecessor_lists(g: DirectedGraph, exact: bool) -> list:
+    """Frozen dict-based dependency accumulation, the reference for
+    ``brandes_betweenness_all``.
+
+    Each BFS keeps a predecessor list per reached vertex, in the order the
+    edges were first scanned; the sweep walks the BFS order backwards and
+    adds into every predecessor. Same arithmetic as the library (rational
+    when ``exact``, floats otherwise), so float scores must match bit for
+    bit, not just approximately.
+    """
+    n = g.vertex_count
+    zero = Fraction(0) if exact else 0.0
+    scores = [zero] * n
+    for s in range(n):
+        dist = {s: 0}
+        sigma = {s: 1}
+        preds: dict[int, list[int]] = {s: []}
+        order = [s]
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in g.out_neighbors(u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    sigma[v] = sigma[u]
+                    preds[v] = [u]
+                    order.append(v)
+                    queue.append(v)
+                elif dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
+        delta = dict.fromkeys(order, zero)
+        for w in reversed(order):
+            if exact:
+                coeff = (1 + delta[w]) / sigma[w]
+            else:
+                coeff = (1.0 + delta[w]) / sigma[w]
+            for u in preds[w]:
+                delta[u] += sigma[u] * coeff
+            if w != s:
+                scores[w] += delta[w]
+    return [v / (n * (n - 1)) for v in scores]
 
 
 def coverage_by_enumeration(g: DirectedGraph, root: int) -> Fraction:

@@ -252,6 +252,8 @@ class TestStdinAndErrors:
             ({"vertices": 3}, "vertices"),
             ({"kpath": "k=5"}, "kpath"),
             ({"datasets": ["hub"]}, "datasets"),
+            ({"grid": {"tolerances": 0.05}}, "grid.tolerances"),
+            ({"methods": 5}, "methods"),
         ],
     )
     def test_bench_section_of_the_wrong_type(self, capsys, tmp_path, config, section):

@@ -38,6 +38,14 @@ class TestBetweennessEstimates:
             assert est.value == 0.0
             assert est.samples == 0
 
+    def test_unknown_diameter_mode_rejected_at_every_root(self, three_path):
+        # root a is degenerate and returns before any reachability pass,
+        # so the value must be checked where the config is built
+        for label in ("a", "b"):
+            with pytest.raises(ValueError, match="diameter_mode"):
+                estimate_betweenness(three_path, three_path.id_of(label),
+                                     cfg(diameter_mode="bogus"))
+
     def test_fixed_sample_count_honored(self, diamond):
         a = diamond.id_of("a")
         est = estimate_betweenness(diamond, a, cfg(fixed_samples=500))

@@ -10,10 +10,21 @@ from pathcentral.exact import (
     exact_kpath,
     restricted_pair_betweenness,
 )
-from pathcentral.generate import random_digraph
+from pathcentral.generate import hub_digraph, layered_dag, random_digraph
 from pathcentral.graph import DirectedGraph, loads_edge_list
 
-from oracles import betweenness_by_enumeration, coverage_by_enumeration
+from oracles import (
+    betweenness_by_enumeration,
+    brandes_with_predecessor_lists,
+    coverage_by_enumeration,
+)
+
+# graphs with many tied shortest paths, so float sums depend on their order
+REFERENCE_GRAPHS = (
+    [random_digraph(40, p, seed=seed) for seed, p in [(1, 0.06), (2, 0.1), (3, 0.2)]]
+    + [hub_digraph(60, seed=seed) for seed in (1, 2, 3)]
+    + [layered_dag(6, 8, 0.4, seed=seed) for seed in (1, 2, 3)]
+)
 
 
 class TestBetweenness:
@@ -50,6 +61,15 @@ class TestBetweenness:
             g = random_digraph(7, p, seed=seed)
             assert brandes_betweenness_all(g) == betweenness_by_enumeration(g)
 
+    @pytest.mark.parametrize("g", REFERENCE_GRAPHS)
+    def test_equals_predecessor_list_reference(self, g):
+        # exact equality in both modes: the flat-array sweep must add into
+        # each dependency in the reference's order, not merely come close
+        assert brandes_betweenness_all(g) == brandes_with_predecessor_lists(g, exact=True)
+        floats = brandes_betweenness_all(g, exact_threshold=0)
+        assert all(isinstance(f, float) for f in floats)
+        assert floats == brandes_with_predecessor_lists(g, exact=False)
+
 
 class TestRestrictedPairs:
     def test_path_middle(self, three_path):
@@ -64,8 +84,9 @@ class TestRestrictedPairs:
             assert restricted_pair_betweenness(three_cycle, v) == Fraction(1, 6)
 
     def test_agrees_with_dependency_accumulation(self):
-        for seed, n, p in [(5, 12, 0.2), (6, 18, 0.12), (7, 25, 0.3), (8, 9, 0.55)]:
-            g = random_digraph(n, p, seed=seed)
+        graphs = [random_digraph(n, p, seed=seed)
+                  for seed, n, p in [(5, 12, 0.2), (6, 18, 0.12), (7, 25, 0.3), (8, 9, 0.55)]]
+        for g in graphs + list(REFERENCE_GRAPHS[3:]):
             scores = brandes_betweenness_all(g)
             for v in g.vertices():
                 assert restricted_pair_betweenness(g, v) == scores[v]
