@@ -86,7 +86,7 @@ class TestRestrictedPairs:
     def test_agrees_with_dependency_accumulation(self):
         graphs = [random_digraph(n, p, seed=seed)
                   for seed, n, p in [(5, 12, 0.2), (6, 18, 0.12), (7, 25, 0.3), (8, 9, 0.55)]]
-        for g in graphs + list(REFERENCE_GRAPHS[3:]):
+        for g in graphs + REFERENCE_GRAPHS[3:]:
             scores = brandes_betweenness_all(g)
             for v in g.vertices():
                 assert restricted_pair_betweenness(g, v) == scores[v]
