@@ -51,7 +51,7 @@ class EstimatorConfig:
     unrestricted convention, which normalizes by n-1 rather than n).
 
     ``fixed_samples`` disables the adaptive rule and runs exactly that many
-    samples. ``diameter_mode`` is passed to ``compute_reachability``.
+    samples.
     """
 
     tolerance: float
@@ -59,7 +59,6 @@ class EstimatorConfig:
     seed: int | None = None
     mode: str = "restricted"
     fixed_samples: int | None = None
-    diameter_mode: str = "domain"
 
     def __post_init__(self):
         if not (0.0 < self.tolerance < 1.0):
@@ -70,8 +69,6 @@ class EstimatorConfig:
             raise ValueError(f"mode must be 'restricted' or 'baseline', got {self.mode!r}")
         if self.fixed_samples is not None and self.fixed_samples < 1:
             raise ValueError("fixed_samples must be >= 1")
-        if self.diameter_mode not in ("domain", "global"):
-            raise ValueError(f"diameter_mode must be 'domain' or 'global', got {self.diameter_mode!r}")
 
 
 def gap_term_risk(failure_prob: float) -> float:
@@ -186,6 +183,42 @@ def make_rng(seed: int | None) -> tuple[np.random.Generator, int]:
     return np.random.default_rng(seed), seed
 
 
+# Relative slack on the tolerance when choosing which checks to skip. The
+# gap formula loses a few ulps to rounding, and the running sum a few more;
+# 1e-9 dwarfs both, so a skipped check never hides a pass of the real one.
+_SKIP_MARGIN = 1e-9
+
+
+def next_check(
+    gap_terms: Callable[[float, int], tuple[float, float]],
+    total: float,
+    tau: int,
+    upper: float,
+    budget: int,
+    tolerance: float,
+) -> int:
+    """First sample count after ``tau`` at which the stopping check can pass.
+
+    ``total`` is the running sum and ``upper`` the upper gap term of a check
+    that just failed at ``tau``. Returns the smallest t in (tau, budget] at
+    which the upper gap for the same running sum, evaluated by ``gap_terms``,
+    comes within the tolerance plus the margin; ``budget`` when none does
+    before it. See ``run_sampling_loop`` for why every check before the
+    returned count would fail.
+    """
+    limit = tolerance * (1.0 + _SKIP_MARGIN)
+    if upper <= limit:
+        return tau + 1
+    lo, hi = tau, budget
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gap_terms(total / mid, mid)[1] <= limit:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def run_sampling_loop(
     draw: Callable[[], float],
     budget: int,
@@ -204,24 +237,51 @@ def run_sampling_loop(
     None. ``seed`` is the concrete seed of the run's generator and
     ``started`` its ``time.perf_counter()`` start, for ``wall_time``.
 
-    The adaptive check runs before every draw from the second sample on, so
-    a stop at the budget means the gaps were still too wide at budget - 1;
-    only then are they evaluated once more for the final mean. A
-    ``bounds-satisfied`` stop reports the gaps that passed the check.
+    The run stops before the first draw at which both gap terms, evaluated
+    at the running mean, are at most the tolerance (``bounds-satisfied``),
+    or when the budget is spent (``budget-reached``); only then are the gaps
+    evaluated once more for the final mean. A ``bounds-satisfied`` stop
+    reports the gaps that passed the check.
+
+    The check is not made before every draw. After a check fails at sample
+    count tau with running sum S, :func:`next_check` bisects for the first
+    t' at which the upper term b(S, t') = gap_terms(S / t', t')[1] reaches
+    the tolerance λ (plus a relative margin of 1e-9), and the checks at
+    tau + 1 .. t' - 1 are skipped. None of them could pass:
+
+    * a stop needs b <= λ;
+    * for a fixed S, b does not increase with the sample count t: in
+      ``stopping_terms`` the factor log(1/risk)/t, the term 1/3 + mass/t
+      and the mean S/t all shrink as t grows, and mass = budget * bound is
+      fixed for the run;
+    * b does not decrease as S grows, since S enters only through the mean
+      under a square root with a positive coefficient;
+    * S never falls, because every contribution is at least 0.
+
+    So at every skipped t the running sum S' >= S gives b(S', t) >= b(S, t)
+    > λ. The margin absorbs float rounding in the formula and in the
+    running sum, which could otherwise let the real check pass a hair
+    earlier than the bisection's target. At t' the check is today's exact
+    float evaluation, so the stop, the sample count and every reported
+    field are the same as with a check before every draw. Only the upper
+    term is used, since the lower term can rise with t (it has a hump
+    below the safe region); with the same risk for both terms it never
+    exceeds the upper one anyway.
     """
     acc = CompensatedSum()
     tau = 0
     hits = 0
     stop_reason = "budget-reached"
     a = b = None
-    while True:
-        if tau >= budget:
-            break
-        if tau >= 1 and gap_terms is not None:
-            a, b = gap_terms(acc.value / tau, tau)
+    check_at = 1 if gap_terms is not None else budget
+    while tau < budget:
+        if tau >= check_at:
+            total = acc.value
+            a, b = gap_terms(total / tau, tau)
             if a <= tolerance and b <= tolerance:
                 stop_reason = "bounds-satisfied"
                 break
+            check_at = next_check(gap_terms, total, tau, b, budget, tolerance)
         c = draw()
         if c != 0.0:
             acc.add(c)

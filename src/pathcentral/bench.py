@@ -131,6 +131,17 @@ def _list_of(value: Any, kind, key: str, what: str) -> list:
     return value
 
 
+def _scalar(section: dict[str, Any], field: str, default, key: str, kind):
+    """``section[field]`` or the default, which must be an int or, for
+    ``kind=float``, any real number; booleans are neither."""
+    value = section.get(field, default)
+    accepted = (int, float) if kind is float else int
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        what = "a number" if kind is float else "an integer"
+        raise ValueError(f"config {key!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _task_seed(master_seed: int, index: int) -> int:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -218,8 +229,8 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     """
     if not isinstance(config, dict):
         raise ValueError("a benchmark config must be a JSON object")
-    master_seed = int(config.get("seed", DEFAULT_CONFIG["seed"]))
-    reps = int(config.get("reps", 3))
+    master_seed = _scalar(config, "seed", DEFAULT_CONFIG["seed"], "seed", int)
+    reps = _scalar(config, "reps", 3, "reps", int)
     want_time = bool(config.get("timing", True))
     want_exact = bool(config.get("exact", True))
     methods = _list_of(config.get("methods", ["betweenness"]), str, "methods", "strings")
@@ -229,12 +240,14 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     grid = _section(config, "grid")
     tolerances = [float(t) for t in _list_of(
         grid.get("tolerances", [0.05]), (int, float), "grid.tolerances", "numbers")]
-    failure_prob = float(grid.get("failure_prob", 0.1))
+    failure_prob = _scalar(grid, "failure_prob", 0.1, "grid.failure_prob", float)
     kpath_spec = _section(config, "kpath")
+    _scalar(kpath_spec, "k", 5, "kpath.k", int)
     if workers is None:
-        workers = int(config.get("workers", 1))
+        workers = _scalar(config, "workers", 1, "workers", int)
 
     policy = _section(config, "vertices")
+    _scalar(policy, "count", 5, "vertices.count", int)
     specs = _list_of(config.get("datasets", []), dict, "datasets", "objects")
     datasets = []
     for spec in specs:

@@ -58,7 +58,7 @@ def _pair_loop(
     if g.in_degree(root) == 0 or g.out_degree(root) == 0:
         return degenerate_estimate(seed, started)
 
-    reach = compute_reachability(g, root, diameter_mode=cfg.diameter_mode)
+    reach = compute_reachability(g, root)
     if cfg.mode == "baseline":
         pool = tuple(v for v in g.vertices() if v != root)
         sources = targets = pool
@@ -115,7 +115,7 @@ def estimate_betweenness(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> E
     def hit_test(rng, reach, s: int, t: int, space) -> bool:
         if not on_some_shortest_path(g, s, t, root, reach, space):
             return False
-        dag = build_shortest_path_dag(g, s, t)
+        dag = build_shortest_path_dag(g, s, t, space)
         return sample_uniform_path(dag, rng, mark=root).contains_mark
 
     return _pair_loop(g, root, cfg, hit_test)

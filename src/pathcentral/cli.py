@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixed-samples", type=int, default=None, metavar="N",
                        help="disable the adaptive rule and draw exactly N samples"
                        if described else None)
-        p.add_argument("--diameter-mode", choices=("domain", "global"), default="domain")
 
     p = sub.add_parser("kpath-estimate", help="k-path centrality estimate")
     _add_common(p)
@@ -133,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reach", help="reachability summary around one vertex")
     _add_common(p)
     p.add_argument("--vertex", required=True)
-    p.add_argument("--diameter-mode", choices=("domain", "global"), default="domain")
 
     p = sub.add_parser("gen", help="write a synthetic graph as an edge list")
     _add_common(p, graph=False)
@@ -189,7 +187,6 @@ def _cmd_estimate(args) -> dict:
         seed=args.seed,
         mode="baseline" if args.baseline else "restricted",
         fixed_samples=args.fixed_samples,
-        diameter_mode=args.diameter_mode,
     )
     if args.command == "bc-estimate":
         est = estimate_betweenness(g, v, cfg)
@@ -232,7 +229,7 @@ def _cmd_kpath_estimate(args) -> dict:
 def _cmd_reach(args) -> dict:
     g = _load_graph(args.graph)
     v = g.id_of(args.vertex)
-    reach = compute_reachability(g, v, diameter_mode=args.diameter_mode)
+    reach = compute_reachability(g, v)
     return {
         "vertex": args.vertex,
         "upstream_count": len(reach.upstream),

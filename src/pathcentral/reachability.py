@@ -46,18 +46,12 @@ class ReachabilityInfo:
     diameter_vertex_bound: int
 
 
-def compute_reachability(
-    g: DirectedGraph, root: int, diameter_mode: str = "domain"
-) -> ReachabilityInfo:
+def compute_reachability(g: DirectedGraph, root: int) -> ReachabilityInfo:
     """Two BFS passes around ``root`` and the quantities derived from them.
 
-    ``diameter_mode="domain"`` bounds shortest-path length using only the two
-    BFS depths around the root (every path the samplers can draw starts in
-    the upstream set and ends in the downstream set, so root-centered depths
-    cover it). ``"global"`` additionally probes a vertex of the largest
-    strongly connected component and takes the larger, more conservative
-    bound; overestimating here only inflates the sampling budget, never the
-    error guarantee.
+    The bound on shortest-path vertices uses only the two BFS depths around
+    the root: for s upstream and t downstream, d(s, t) <= d(s, r) + d(r, t),
+    so the root-centred depths cover every such pair.
     """
     g._check(root)
     n = g.vertex_count
@@ -76,12 +70,7 @@ def compute_reachability(
 
     rev_depth = max(dist_to_root.values())
     fwd_depth = max(dist_from_root.values())
-    bound = rev_depth + fwd_depth + 1
-    if diameter_mode == "global":
-        bound = max(bound, _global_diameter_probe(g))
-    elif diameter_mode != "domain":
-        raise ValueError(f"diameter_mode must be 'domain' or 'global', got {diameter_mode!r}")
-    bound = max(bound, 2)
+    bound = max(rev_depth + fwd_depth + 1, 2)
 
     return ReachabilityInfo(
         root=root,
@@ -94,19 +83,6 @@ def compute_reachability(
         source_fraction=source_fraction,
         diameter_vertex_bound=bound,
     )
-
-
-def _global_diameter_probe(g: DirectedGraph) -> int:
-    """Eccentricity-style bound from one probe vertex of the largest SCC."""
-    import numpy as np
-    from scipy.sparse import csgraph
-
-    n_comp, comp = csgraph.connected_components(g.to_csr(), connection="strong")
-    sizes = np.bincount(comp, minlength=n_comp)
-    probe = int(np.argmax(comp == int(np.argmax(sizes))))
-    fwd = bfs_distances(g, probe, direction="forward")
-    rev = bfs_distances(g, probe, direction="reverse")
-    return max(fwd.values()) + max(rev.values()) + 1
 
 
 def transitive_closure_oracle(g: DirectedGraph):

@@ -8,7 +8,7 @@ The sampling estimators need two kernels per drawn pair (s, t):
 Both are served by a balanced bidirectional BFS: one frontier grows from s
 over forward edges, one from t over reversed edges, and whichever frontier is
 currently smaller expands by a full level. The search stops at the first
-level whose expansion labels a vertex already labeled by the other side.
+level whose expansion reaches a vertex already labeled by the other side.
 
 Expanding whole levels (never stopping mid-level) is what makes the counts
 exact: when the sides first touch, every meeting vertex v satisfies
@@ -16,11 +16,17 @@ dist_f(v) + dist_b(v) = d(s, t), each shortest path crosses the meeting set
 exactly once, and the number of shortest paths factors as
 sum over meeting v of (paths s to v) * (paths v to t).
 
-The distance-only search needs no counts, so it exits at the first contact
-and keeps its labels in a reusable epoch-stamped scratch (``_SearchSpace``)
-rather than per-call dicts. The betweenness estimator runs it as a gate
-before the full builder: the root can only be on a drawn path when it is on
-some shortest path.
+Both searches keep their labels in one reusable scratch (``_SearchSpace``):
+an epoch-stamped side mark per vertex, plus flat distance, path-count and
+first-parent lists that the counting search allocates on first use. The
+distance-only search needs no counts, so it exits at the first contact. The
+counting search finishes the contact level, but only scans it for contact
+edges, and builds predecessor tuples for the structure's vertices alone;
+its result is the same, tuple order included, as that of a search that
+keeps a predecessor list for every labelled vertex. The betweenness
+estimator runs the distance search as a gate before the builder, on the
+same scratch: the root can only be on a drawn path when it is on some
+shortest path.
 """
 
 from __future__ import annotations
@@ -72,111 +78,192 @@ class PathSample:
     contains_mark: bool
 
 
+class _SearchSpace:
+    """Reusable scratch for both searches: one epoch-stamped mark per vertex.
+
+    Each search takes two fresh stamps, one per side, so a vertex is labelled
+    by the forward side, by the backward side, or (stale stamp) by neither.
+    Starting a search is one increment instead of clearing two dicts, and a
+    run that draws many pairs allocates the marks once. The counting search
+    also keeps a distance, a path count and a first parent per vertex; those
+    lists are allocated by the first counting search, so a run that only
+    asks for distances never pays for them. Labelling a vertex writes all
+    three, so stale entries are never read.
+    """
+
+    __slots__ = ("mark", "epoch", "dist", "sigma", "parent")
+
+    def __init__(self, g: DirectedGraph):
+        self.mark = [0] * g.vertex_count
+        self.epoch = 0
+        self.dist = self.sigma = self.parent = None
+
+
 def build_shortest_path_dag(
-    g: DirectedGraph, source: int, target: int
+    g: DirectedGraph, source: int, target: int, space: _SearchSpace | None = None
 ) -> ShortestPathDag | None:
     """Build the shortest-path structure for (source, target).
 
     Returns None when target is unreachable from source. ``source == target``
     is rejected: the estimators never ask for it and the empty path would
-    need its own conventions.
+    need its own conventions. ``space`` carries the scratch across calls on
+    the same graph, shared with :func:`shortest_path_length`; without one a
+    fresh scratch is allocated.
+
+    Each labelled vertex keeps its distance, its path count and its first
+    parent (the frontier vertex whose edge labelled it). Later parents are
+    rare, so they go to one list for the whole search instead of a list per
+    vertex. Once the first contact shows up, the rest of that level is only
+    scanned for contact edges, from the expanding frontier into the other
+    side, and labels nothing. Predecessor tuples list parents in the order
+    the level scan met them, and the backward half is assembled by the same
+    stack walk as in a search that keeps every predecessor list, so each
+    tuple has the order a seeded draw depends on.
     """
     g._check(source)
     g._check(target)
     if source == target:
         raise ValueError("source and target must differ")
-
+    if space is None:
+        space = _SearchSpace(g)
+    if space.dist is None:
+        n = len(space.mark)
+        space.dist, space.sigma, space.parent = [0] * n, [0] * n, [0] * n
+    fwd_mark = space.epoch + 1
+    bwd_mark = space.epoch + 2
+    space.epoch = bwd_mark
+    mark, dist, sigma, parent = space.mark, space.dist, space.sigma, space.parent
+    mark[source] = fwd_mark
+    mark[target] = bwd_mark
+    dist[source] = dist[target] = 0
+    sigma[source] = sigma[target] = 1
     fwd_adj = g._fwd
     rev_adj = g._rev
-
-    dist_f = {source: 0}
-    sigma_f = {source: 1}
-    pred = {source: []}
-    dist_b = {target: 0}
-    sigma_b = {target: 1}
-    succ = {target: []}
     frontier_f = [source]
     frontier_b = [target]
-    meeting: list[int] = []
+    radius_f = radius_b = 0
+    later_parents: list[tuple[int, int]] = []
 
-    while not meeting:
+    while True:
         if not frontier_f or not frontier_b:
             return None
         if len(frontier_f) <= len(frontier_b):
-            level = dist_f[frontier_f[0]] + 1
-            next_frontier = []
-            for u in frontier_f:
-                su = sigma_f[u]
-                for v in fwd_adj[u]:
-                    dv = dist_f.get(v)
-                    if dv is None:
-                        dist_f[v] = level
-                        sigma_f[v] = su
-                        pred[v] = [u]
-                        next_frontier.append(v)
-                        if v in dist_b:
-                            meeting.append(v)
-                    elif dv == level:
-                        sigma_f[v] += su
-                        pred[v].append(u)
-            frontier_f = next_frontier
+            adj, frontier, own, other = fwd_adj, frontier_f, fwd_mark, bwd_mark
+            radius_f += 1
+            level = radius_f
         else:
-            level = dist_b[frontier_b[0]] + 1
-            next_frontier = []
-            for u in frontier_b:
-                su = sigma_b[u]
-                for w in rev_adj[u]:
-                    dw = dist_b.get(w)
-                    if dw is None:
-                        dist_b[w] = level
-                        sigma_b[w] = su
-                        succ[w] = [u]
-                        next_frontier.append(w)
-                        if w in dist_f:
-                            meeting.append(w)
-                    elif dw == level:
-                        sigma_b[w] += su
-                        succ[w].append(u)
-            frontier_b = next_frontier
+            adj, frontier, own, other = rev_adj, frontier_b, bwd_mark, fwd_mark
+            radius_b += 1
+            level = radius_b
+        next_frontier = []
+        for at, u in enumerate(frontier):
+            su = sigma[u]
+            for v in adj[u]:
+                m = mark[v]
+                if m == own:
+                    if dist[v] == level:
+                        sigma[v] += su
+                        later_parents.append((v, u))
+                elif m == other:
+                    break
+                else:
+                    mark[v] = own
+                    dist[v] = level
+                    sigma[v] = su
+                    parent[v] = u
+                    next_frontier.append(v)
+            else:
+                continue
+            break
+        else:
+            if own == fwd_mark:
+                frontier_f = next_frontier
+            else:
+                frontier_b = next_frontier
+            continue
+        break
 
-    distance = dist_f[meeting[0]] + dist_b[meeting[0]]
-    path_count = sum(sigma_f[v] * sigma_b[v] for v in meeting)
+    # The contact level. ``meet`` maps each vertex of the other side that a
+    # frontier vertex reaches to those frontier vertices, both in scan order;
+    # the frontier vertices before ``at`` have no contact edge.
+    meet: dict[int, list[int]] = {}
+    for u in frontier[at:]:
+        for v in adj[u]:
+            if mark[v] == other:
+                ps = meet.get(v)
+                if ps is None:
+                    meet[v] = [u]
+                else:
+                    ps.append(u)
+    more: dict[int, list[int]] = {}
+    for v, u in later_parents:
+        more.setdefault(v, []).append(u)
 
-    # Forward half: everything that reaches the meeting set along pred
-    # links. For a vertex on a shortest path, every recorded predecessor is
-    # itself on one, so no filtering is needed while walking back.
+    distance = radius_f + radius_b
+    forward_contact = own == fwd_mark
+    path_count = 0
     counts: dict[int, int] = {}
     position: dict[int, int] = {}
     dag_preds: dict[int, tuple[int, ...]] = {}
-    seen = set(meeting)
-    stack = list(meeting)
+
+    # Forward half: the meeting set, every meeting vertex at distance
+    # radius_f, and everything reaching it along parent links, with the
+    # forward search's path counts and distances. After a backward contact
+    # the meeting vertices are labelled by the forward search, so the walk
+    # takes them like any other.
+    stack: list[int] = []
+    for v, ps in meet.items():
+        contact_sigma = sum(sigma[u] for u in ps)
+        path_count += contact_sigma * sigma[v]
+        if forward_contact:
+            counts[v] = contact_sigma
+            position[v] = radius_f
+            dag_preds[v] = tuple(ps)
+            stack += ps
+        else:
+            stack.append(v)
     while stack:
         v = stack.pop()
-        position[v] = dist_f[v]
-        counts[v] = sigma_f[v]
-        ps = pred[v]
+        if v in counts:
+            continue
+        counts[v] = sigma[v]
+        position[v] = dist[v]
+        if v == source:
+            dag_preds[v] = ()
+            continue
+        p = parent[v]
+        ps = [p] + more[v] if v in more else [p]
         dag_preds[v] = tuple(ps)
-        for u in ps:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
+        stack += ps
 
-    # Backward half: everything the meeting set reaches along succ links.
-    # Source-side path counts are not known here (the backward search
+    # Backward half: everything the meeting set reaches along successor
+    # links. Source-side path counts are not known here (the backward search
     # counted paths to the target), so propagate them level by level away
-    # from the meeting set.
+    # from the meeting set. The order in which this stack walk pops vertices
+    # is the order of each predecessor tuple here, and so of a seeded draw.
     by_depth: dict[int, list[int]] = {}
     back_preds: dict[int, list[int]] = {}
-    bseen = set(meeting)
-    stack = list(meeting)
+    bseen = set(meet)
+    stack = list(meet)
     while stack:
         v = stack.pop()
-        for u in succ[v]:
-            back_preds.setdefault(u, []).append(v)
+        if not forward_contact and v in meet:
+            succ = meet[v]
+        elif v == target:
+            continue
+        else:
+            p = parent[v]
+            succ = [p] + more[v] if v in more else [p]
+        for u in succ:
+            ps = back_preds.get(u)
+            if ps is None:
+                back_preds[u] = [v]
+            else:
+                ps.append(v)
             if u not in bseen:
                 bseen.add(u)
                 stack.append(u)
-                by_depth.setdefault(dist_b[u], []).append(u)
+                by_depth.setdefault(dist[u], []).append(u)
     for depth in sorted(by_depth, reverse=True):
         for v in by_depth[depth]:
             ps = back_preds[v]
@@ -245,22 +332,6 @@ def sample_uniform_path(dag: ShortestPathDag, rng, mark: int | None = None) -> P
         vertices=tuple(path),
         contains_mark=mark is not None and mark in path,
     )
-
-
-class _SearchSpace:
-    """Reusable scratch for the distance search: one epoch-stamped mark per vertex.
-
-    Each search takes two fresh stamps, one per side, so a vertex is labelled
-    by the forward side, by the backward side, or (stale stamp) by neither.
-    Starting a search is one increment instead of clearing two dicts, and a
-    run that draws many pairs allocates the marks once.
-    """
-
-    __slots__ = ("mark", "epoch")
-
-    def __init__(self, g: DirectedGraph):
-        self.mark = [0] * g.vertex_count
-        self.epoch = 0
 
 
 def shortest_path_length(

@@ -2,6 +2,8 @@ import math
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathcentral.adaptive import (
     CompensatedSum,
@@ -10,6 +12,7 @@ from pathcentral.adaptive import (
     compute_sample_budget,
     gap_term_risk,
     make_rng,
+    next_check,
     run_sampling_loop,
     stopping_terms,
 )
@@ -175,16 +178,19 @@ class TestSamplingLoop:
 
     def test_final_gaps_reevaluated_at_exit(self):
         calls = []
+        draws = []
 
         def gaps(mean, tau):
-            calls.append(tau)
+            calls.append((tau, len(draws)))
             return (1.0 / tau, 2.0 / tau)
 
-        est = run_loop(lambda: 0.0, 7, gaps)
+        est = run_loop(lambda: draws.append(0) or 0.0, 7, gaps)
         assert est.stop_reason == "budget-reached"
         assert est.samples == 7
         assert (est.lower_conf, est.upper_conf) == (est.value - 1.0 / 7, est.value + 2.0 / 7)
-        assert calls == [1, 2, 3, 4, 5, 6, 7]
+        # the gaps for the final mean are evaluated once, after the last draw
+        assert [c for c in calls if c[1] == 7] == [(7, 7)]
+        assert calls[-1] == (7, 7)
 
     def test_zero_budget_never_draws(self):
         est = run_loop(lambda: 1.0, 0, None)
@@ -193,16 +199,81 @@ class TestSamplingLoop:
 
     def test_stop_requires_both_gaps(self):
         calls = []
+        draws = []
 
         def gaps(mean, tau):
-            calls.append(tau)
+            calls.append((tau, len(draws)))
             return (0.0, 0.06) if tau < 3 else (0.0, 0.0)
 
-        est = run_loop(lambda: 0.5, 100, gaps)
+        est = run_loop(lambda: draws.append(0) or 0.5, 100, gaps)
         assert est.stop_reason == "bounds-satisfied"
         assert est.samples == 3
         # the gaps that passed are the ones reported: no second evaluation
-        assert calls == [1, 2, 3]
+        # once the third draw is in
+        assert [c for c in calls if c[1] == 3] == [(3, 3)]
+        assert calls[-1] == (3, 3)
+
+
+class TestSkippedChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        budget=st.integers(2, 4000),
+        tau_frac=st.floats(0.0, 1.0),
+        hit_frac=st.floats(0.0, 1.0),
+        bound=st.floats(1e-4, 1.0),
+        tolerance=st.floats(1e-3, 0.5),
+        failure_prob=st.floats(1e-3, 0.9),
+        growth=st.floats(0.0, 1.0),
+    )
+    def test_no_skipped_check_would_pass(
+        self, budget, tau_frac, hit_frac, bound, tolerance, failure_prob, growth
+    ):
+        tau = 1 + int(tau_frac * (budget - 2))
+        total = int(hit_frac * tau) * bound
+        risk = gap_term_risk(failure_prob)
+
+        def gaps(mean, t):
+            return stopping_terms(mean, t, budget, bound, risk, risk)
+
+        def passes(s, t):
+            a, b = gaps(s / t, t)
+            return a <= tolerance and b <= tolerance
+
+        a, b = gaps(total / tau, tau)
+        assume(not (a <= tolerance and b <= tolerance))
+        target = next_check(gaps, total, tau, b, budget, tolerance)
+        assert tau < target <= budget
+        for t in range(tau + 1, target):
+            # the running sum can only have grown since the failed check
+            grown = total + int(growth * (t - tau)) * bound
+            assert not passes(total, t)
+            assert not passes(grown, t)
+
+    def test_skip_lands_on_the_first_pass(self):
+        # hits at every draw: the target is where the check first passes
+        budget, bound, risk = 5000, 0.01, gap_term_risk(0.1)
+
+        def gaps(mean, t):
+            return stopping_terms(mean, t, budget, bound, risk, risk)
+
+        first = next(t for t in range(1, budget) if max(gaps(bound, t)) <= 0.02)
+        a, b = gaps(bound, 1)
+        target = next_check(gaps, bound * 1, 1, b, budget, 0.02)
+        assert target <= first
+        assert all(max(gaps(bound, t)) > 0.02 for t in range(2, target))
+
+    def test_checks_are_skipped(self):
+        calls = []
+        draws = iter(range(10**6))
+
+        def gaps(mean, tau):
+            calls.append(tau)
+            return stopping_terms(mean, tau, 10**5, 0.1, 0.025, 0.025)
+
+        est = run_sampling_loop(lambda: 0.1 if next(draws) % 3 == 0 else 0.0,
+                                10**5, 0.01, gaps, 0.1, 0, time.perf_counter())
+        assert est.stop_reason == "bounds-satisfied"
+        assert len(calls) < est.samples // 10
 
 
 def test_estimate_is_frozen():

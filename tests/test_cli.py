@@ -157,6 +157,15 @@ class TestReachCommand:
         assert payload["diameter_vertex_bound"] >= 2
 
 
+    @pytest.mark.parametrize("command", ["bc-estimate", "coverage-estimate", "reach"])
+    def test_diameter_mode_flag_is_gone(self, capsys, chain_file, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", chain_file, "--vertex", "b",
+                  "--diameter-mode", "global"])
+        assert exc.value.code == 2
+        assert "--diameter-mode" in capsys.readouterr().err
+
+
 class TestGenCommand:
     def test_stdout_output_is_loadable(self, capsys):
         code = main(["gen", "random", "--n", "12", "--p", "0.3", "--seed", "5"])
@@ -254,6 +263,15 @@ class TestStdinAndErrors:
             ({"datasets": ["hub"]}, "datasets"),
             ({"grid": {"tolerances": 0.05}}, "grid.tolerances"),
             ({"methods": 5}, "methods"),
+            # scalar leaves; no datasets, so a config that slips through
+            # returns an empty report at once
+            ({"seed": "1", "datasets": []}, "seed"),
+            ({"reps": [1], "datasets": []}, "reps"),
+            ({"reps": 1.7, "datasets": []}, "reps"),
+            ({"workers": True, "datasets": []}, "workers"),
+            ({"vertices": {"count": 2.5}, "datasets": []}, "vertices.count"),
+            ({"kpath": {"k": "5"}, "datasets": []}, "kpath.k"),
+            ({"grid": {"failure_prob": "0.1"}, "datasets": []}, "grid.failure_prob"),
         ],
     )
     def test_bench_section_of_the_wrong_type(self, capsys, tmp_path, config, section):

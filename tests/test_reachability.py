@@ -92,20 +92,6 @@ def test_bound_clamped_to_two():
     assert compute_reachability(g, g.id_of("b")).diameter_vertex_bound == 2
 
 
-def test_global_mode_is_at_least_domain_mode():
-    g = random_digraph(40, 0.08, seed=12)
-    for v in range(0, 40, 7):
-        domain = compute_reachability(g, v, diameter_mode="domain")
-        whole = compute_reachability(g, v, diameter_mode="global")
-        assert whole.diameter_vertex_bound >= domain.diameter_vertex_bound
-        assert whole.upstream == domain.upstream
-
-
-def test_unknown_diameter_mode_rejected(three_path):
-    with pytest.raises(ValueError):
-        compute_reachability(three_path, 0, diameter_mode="exact")
-
-
 class TestClosureOracle:
     def test_path(self, three_path):
         a, b, c = (three_path.id_of(x) for x in "abc")

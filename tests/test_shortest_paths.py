@@ -13,7 +13,9 @@ from pathcentral.shortest_paths import (
     shortest_path_length,
 )
 
-from oracles import shortest_paths_by_enumeration
+from pathcentral.generate import hub_digraph, layered_dag, random_digraph
+
+from oracles import shortest_path_dag_with_predecessor_lists, shortest_paths_by_enumeration
 
 edge_pairs = st.lists(
     st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=45
@@ -154,6 +156,46 @@ def test_huge_path_counts_stay_exact():
     assert len(sample.vertices) == dag.distance + 1
     for u, v in zip(sample.vertices, sample.vertices[1:]):
         assert v in g.out_neighbors(u)
+
+
+# Sparse and layered graphs have long paths and wide levels, where the order
+# in which a level meets a vertex's parents differs from their id order.
+graphs = st.one_of(
+    st.builds(random_digraph, st.integers(2, 60), st.sampled_from([0.03, 0.06, 0.1]),
+              seed=st.integers(0, 10**6)),
+    st.builds(hub_digraph, st.integers(4, 80), st.integers(1, 2), st.integers(1, 2),
+              seed=st.integers(0, 10**6)),
+    st.builds(layered_dag, st.integers(3, 8), st.integers(3, 8),
+              st.sampled_from([0.3, 0.6, 0.9]), seed=st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs, st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
+       st.integers(0, 2**60))
+def test_equals_predecessor_list_reference(g, sources, interleave):
+    # One scratch for every search, with distance-only searches between the
+    # counting ones: a stale label or count would show up as a difference.
+    space = _SearchSpace(g)
+    n = g.vertex_count
+    for i, x in enumerate(sources):
+        s = int(x * n)
+        for t in range(n):
+            if t == s:
+                continue
+            if interleave >> ((i * n + t) % 60) & 1:
+                shortest_path_length(g, t, s, space)
+            got = build_shortest_path_dag(g, s, t, space)
+            want = shortest_path_dag_with_predecessor_lists(g, s, t)
+            assert got == want
+            if want is not None:
+                assert got.dist == want.dist
+                assert got.counts == want.counts
+                # the order inside each tuple decides which path a seeded
+                # draw takes
+                assert got.preds.keys() == want.preds.keys()
+                for v, ps in want.preds.items():
+                    assert got.preds[v] == ps
 
 
 class TestDistanceOnly:
