@@ -247,7 +247,8 @@ def run_sampling_loop(
     count tau with running sum S, :func:`next_check` bisects for the first
     t' at which the upper term b(S, t') = gap_terms(S / t', t')[1] reaches
     the tolerance λ (plus a relative margin of 1e-9), and the checks at
-    tau + 1 .. t' - 1 are skipped. None of them could pass:
+    tau + 1 .. t' - 1 are skipped. None of them could pass, given two
+    properties of the upper term that ``stopping_terms`` has:
 
     * a stop needs b <= λ;
     * for a fixed S, b does not increase with the sample count t: in
@@ -261,9 +262,9 @@ def run_sampling_loop(
     So at every skipped t the running sum S' >= S gives b(S', t) >= b(S, t)
     > λ. The margin absorbs float rounding in the formula and in the
     running sum, which could otherwise let the real check pass a hair
-    earlier than the bisection's target. At t' the check is today's exact
-    float evaluation, so the stop, the sample count and every reported
-    field are the same as with a check before every draw. Only the upper
+    earlier than the bisection's target. At t' the check is the same exact
+    float evaluation as ever, so the stop, the sample count and every
+    reported field are the same as with a check before every draw. Only the upper
     term is used, since the lower term can rise with t (it has a hump
     below the safe region); with the same risk for both terms it never
     exceeds the upper one anyway.

@@ -131,10 +131,9 @@ def _list_of(value: Any, kind, key: str, what: str) -> list:
     return value
 
 
-def _scalar(section: dict[str, Any], field: str, default, key: str, kind):
-    """``section[field]`` or the default, which must be an int or, for
-    ``kind=float``, any real number; booleans are neither."""
-    value = section.get(field, default)
+def _scalar(value: Any, kind, key: str):
+    """``value`` as ``kind``; it must be an int or, for ``kind=float``, any
+    real number. Booleans are neither."""
     accepted = (int, float) if kind is float else int
     if not isinstance(value, accepted) or isinstance(value, bool):
         what = "a number" if kind is float else "an integer"
@@ -229,8 +228,8 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     """
     if not isinstance(config, dict):
         raise ValueError("a benchmark config must be a JSON object")
-    master_seed = _scalar(config, "seed", DEFAULT_CONFIG["seed"], "seed", int)
-    reps = _scalar(config, "reps", 3, "reps", int)
+    master_seed = _scalar(config.get("seed", DEFAULT_CONFIG["seed"]), int, "seed")
+    reps = _scalar(config.get("reps", 3), int, "reps")
     want_time = bool(config.get("timing", True))
     want_exact = bool(config.get("exact", True))
     methods = _list_of(config.get("methods", ["betweenness"]), str, "methods", "strings")
@@ -240,14 +239,14 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     grid = _section(config, "grid")
     tolerances = [float(t) for t in _list_of(
         grid.get("tolerances", [0.05]), (int, float), "grid.tolerances", "numbers")]
-    failure_prob = _scalar(grid, "failure_prob", 0.1, "grid.failure_prob", float)
+    failure_prob = _scalar(grid.get("failure_prob", 0.1), float, "grid.failure_prob")
     kpath_spec = _section(config, "kpath")
-    _scalar(kpath_spec, "k", 5, "kpath.k", int)
+    _scalar(kpath_spec.get("k", 5), int, "kpath.k")
     if workers is None:
-        workers = _scalar(config, "workers", 1, "workers", int)
+        workers = _scalar(config.get("workers", 1), int, "workers")
 
     policy = _section(config, "vertices")
-    _scalar(policy, "count", 5, "vertices.count", int)
+    _scalar(policy.get("count", 5), int, "vertices.count")
     specs = _list_of(config.get("datasets", []), dict, "datasets", "objects")
     datasets = []
     for spec in specs:

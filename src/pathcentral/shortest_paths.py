@@ -87,8 +87,9 @@ class _SearchSpace:
     run that draws many pairs allocates the marks once. The counting search
     also keeps a distance, a path count and a first parent per vertex; those
     lists are allocated by the first counting search, so a run that only
-    asks for distances never pays for them. Labelling a vertex writes all
-    three, so stale entries are never read.
+    asks for distances never pays for them. The counting search writes all
+    three when it labels a vertex and reads them only for vertices carrying
+    its own stamps, so stale entries are never read.
     """
 
     __slots__ = ("mark", "epoch", "dist", "sigma", "parent")

@@ -165,12 +165,12 @@ graphs = st.one_of(
               seed=st.integers(0, 10**6)),
     st.builds(hub_digraph, st.integers(4, 80), st.integers(1, 2), st.integers(1, 2),
               seed=st.integers(0, 10**6)),
-    st.builds(layered_dag, st.integers(3, 8), st.integers(3, 8),
+    st.builds(layered_dag, st.integers(4, 9), st.integers(4, 9),
               st.sampled_from([0.3, 0.6, 0.9]), seed=st.integers(0, 10**6)),
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(graphs, st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
        st.integers(0, 2**60))
 def test_equals_predecessor_list_reference(g, sources, interleave):
@@ -185,17 +185,11 @@ def test_equals_predecessor_list_reference(g, sources, interleave):
                 continue
             if interleave >> ((i * n + t) % 60) & 1:
                 shortest_path_length(g, t, s, space)
-            got = build_shortest_path_dag(g, s, t, space)
-            want = shortest_path_dag_with_predecessor_lists(g, s, t)
-            assert got == want
-            if want is not None:
-                assert got.dist == want.dist
-                assert got.counts == want.counts
-                # the order inside each tuple decides which path a seeded
-                # draw takes
-                assert got.preds.keys() == want.preds.keys()
-                for v, ps in want.preds.items():
-                    assert got.preds[v] == ps
+            # Field by field: distance, path count, dist and counts maps, and
+            # each preds tuple in order, which decides the path a seeded draw
+            # takes.
+            assert build_shortest_path_dag(g, s, t, space) == (
+                shortest_path_dag_with_predecessor_lists(g, s, t))
 
 
 class TestDistanceOnly:
