@@ -6,11 +6,17 @@ cell for a number of repetitions with seeds derived from one master seed,
 and emits both per-repetition rows and per-cell aggregates, as JSON and as
 an aligned text table.
 
+The work is split into jobs by dataset: one exact-betweenness pass, one job
+for the coverage and k-path oracles, and one job per row. With ``workers``
+above 1 the jobs share one process pool, oracles included; with 1 each job
+runs in the calling process as it is submitted. Either way a dataset's
+rows and oracle job are submitted as soon as its betweenness pass is done.
+
 Reports are deterministic: rows are sorted, repetition seeds depend only on
 the master seed and the task's position in the sorted task list (first
 state word of the master seed sequence spawned at the task index), and
 timing fields can be switched off entirely so that two runs of the same
-config produce byte-identical JSON.
+config produce byte-identical JSON, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -28,6 +35,7 @@ from .betweenness import estimate_betweenness, estimate_coverage
 from .errors import GuardError
 from .exact import (
     COVERAGE_GUARD,
+    all_pairs_distances,
     brandes_betweenness_all,
     exact_coverage,
     exact_kpath,
@@ -70,15 +78,21 @@ _GENERATORS = {
 }
 
 
-def select_top_vertices(g: DirectedGraph, count: int, guard: int = COVERAGE_GUARD) -> list[int]:
-    """Vertex ids with the highest betweenness, ties broken by ascending id."""
+def _ranked(g: DirectedGraph, scores, count: int) -> list[int]:
+    return sorted(g.vertices(), key=lambda v: (-scores[v], v))[: max(0, count)]
+
+
+def _check_top_guard(g: DirectedGraph, guard: int) -> None:
     if g.vertex_count > guard:
         raise GuardError(
             f"top-vertex selection runs the exact oracle, capped at {guard} vertices"
         )
-    scores = brandes_betweenness_all(g)
-    ranked = sorted(g.vertices(), key=lambda v: (-scores[v], v))
-    return ranked[: max(0, count)]
+
+
+def select_top_vertices(g: DirectedGraph, count: int, guard: int = COVERAGE_GUARD) -> list[int]:
+    """Vertex ids with the highest betweenness, ties broken by ascending id."""
+    _check_top_guard(g, guard)
+    return _ranked(g, brandes_betweenness_all(g), count)
 
 
 def _load_dataset(spec: dict[str, Any]) -> DirectedGraph:
@@ -105,10 +119,13 @@ def _graph_hash(g: DirectedGraph) -> str:
     return hashlib.sha256(dump_edge_list(g).encode("utf-8")).hexdigest()[:16]
 
 
-def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], master_seed: int) -> list[int]:
+def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], master_seed: int) -> list[int] | None:
+    """The policy's vertices, or None for ``top-betweenness``, whose pick
+    waits for the dataset's betweenness scores."""
     kind = policy.get("policy", "top-betweenness")
     if kind == "top-betweenness":
-        return select_top_vertices(g, int(policy.get("count", 5)))
+        _check_top_guard(g, COVERAGE_GUARD)
+        return None
     if kind == "labels":
         return [g.id_of(str(lab)) for lab in policy["labels"]]
     if kind == "random":
@@ -146,20 +163,86 @@ def _task_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _exact_value(method: str, g: DirectedGraph, vertex: int,
-                 scores, kpath_spec: dict[str, Any]):
-    """Oracle value for the cell, or None when out of the oracle's reach."""
+def _cell_config(method: str, tolerance: float, failure_prob: float,
+                 kpath_spec: dict[str, Any]) -> EstimatorConfig | KPathConfig:
+    """The estimator config of a cell's rows, less the per-row seed."""
+    if method == "kpath":
+        return KPathConfig(
+            k=int(kpath_spec.get("k", 5)),
+            tolerance=tolerance,
+            failure_prob=failure_prob,
+            weight=kpath_spec.get("weight", "original"),
+            stopping=kpath_spec.get("stopping", "adaptive"),
+            count_sink_roots=bool(kpath_spec.get("count_sink_roots", True)),
+        )
+    return EstimatorConfig(
+        tolerance=tolerance,
+        failure_prob=failure_prob,
+        mode="baseline" if method == "betweenness-baseline" else "restricted",
+    )
+
+
+def _or_none(oracle, *args, **kwargs) -> float | None:
+    """The oracle's value as a float, or None when out of the oracle's reach."""
     try:
-        if method in ("betweenness", "betweenness-baseline"):
-            return float(scores[vertex]) if scores is not None else None
-        if method == "coverage":
-            return float(exact_coverage(g, vertex))
-        if method == "kpath":
-            return float(exact_kpath(g, vertex, int(kpath_spec.get("k", 5)),
-                                     weight=kpath_spec.get("weight", "original")))
+        return float(oracle(*args, **kwargs))
     except GuardError:
         return None
-    return None
+
+
+# Jobs: module functions that take a dataset's graph first, so that a pool
+# task pickles only the function's name, the dataset's name and the rest.
+
+def _scores_job(g: DirectedGraph):
+    return brandes_betweenness_all(g)
+
+
+def _oracle_job(g: DirectedGraph, vertices: list[int], methods: list[str],
+                kpath_spec: dict[str, Any]) -> dict[tuple[str, str], float | None]:
+    """Exact coverage and k-path values by (vertex label, method).
+
+    The all-pairs matrix is built once here and shared by every vertex's
+    ``exact_coverage`` call.
+    """
+    dist = None
+    if "coverage" in methods and g.vertex_count <= COVERAGE_GUARD:
+        dist = all_pairs_distances(g)
+    k = int(kpath_spec.get("k", 5))
+    weight = kpath_spec.get("weight", "original")
+    values = {}
+    for vertex in vertices:
+        label = g.label_of(vertex)
+        if "coverage" in methods:
+            values[label, "coverage"] = _or_none(exact_coverage, g, vertex, dist=dist)
+        if "kpath" in methods:
+            values[label, "kpath"] = _or_none(exact_kpath, g, vertex, k, weight=weight)
+    return values
+
+
+def _row_job(g: DirectedGraph, dataset: str, vertex: int, method: str, rep: int,
+             cfg: EstimatorConfig | KPathConfig, want_time: bool) -> dict[str, Any]:
+    if method == "kpath":
+        est = estimate_kpath_centrality(g, vertex, cfg)
+    elif method == "coverage":
+        est = estimate_coverage(g, vertex, cfg)
+    else:
+        est = estimate_betweenness(g, vertex, cfg)
+    row = {
+        "dataset": dataset,
+        "vertex": g.label_of(vertex),
+        "method": method,
+        "tolerance": cfg.tolerance,
+        "failure_prob": cfg.failure_prob,
+        "rep": rep,
+        "seed": cfg.seed,
+        "estimate": est.value,
+        "samples": est.samples,
+        "sample_budget": est.sample_budget,
+        "stop_reason": est.stop_reason,
+    }
+    if want_time:
+        row["wall_time"] = est.wall_time
+    return row
 
 
 # A pool worker's graphs by dataset name, filled once by the pool
@@ -172,50 +255,44 @@ def _init_worker(graphs: dict[str, DirectedGraph]) -> None:
     _WORKER_GRAPHS.update(graphs)
 
 
-def _run_pooled(payload: tuple) -> dict[str, Any]:
-    return _run_task(_WORKER_GRAPHS[payload[0]], payload)
+def _run_pooled(job, dataset: str, *args):
+    return job(_WORKER_GRAPHS[dataset], *args)
 
 
-def _run_task(g: DirectedGraph, payload: tuple) -> dict[str, Any]:
-    (dataset, vertex, method, tolerance, failure_prob,
-     rep, seed, kpath_spec, want_time) = payload
-    if method == "kpath":
-        cfg = KPathConfig(
-            k=int(kpath_spec.get("k", 5)),
-            tolerance=tolerance,
-            failure_prob=failure_prob,
-            seed=seed,
-            weight=kpath_spec.get("weight", "original"),
-            stopping=kpath_spec.get("stopping", "adaptive"),
-            count_sink_roots=bool(kpath_spec.get("count_sink_roots", True)),
-        )
-        est = estimate_kpath_centrality(g, vertex, cfg)
-    else:
-        cfg = EstimatorConfig(
-            tolerance=tolerance,
-            failure_prob=failure_prob,
-            seed=seed,
-            mode="baseline" if method == "betweenness-baseline" else "restricted",
-        )
-        est = (estimate_coverage if method == "coverage" else estimate_betweenness)(
-            g, vertex, cfg
-        )
-    row = {
-        "dataset": dataset,
-        "vertex": g.label_of(vertex),
-        "method": method,
-        "tolerance": tolerance,
-        "failure_prob": failure_prob,
-        "rep": rep,
-        "seed": seed,
-        "estimate": est.value,
-        "samples": est.samples,
-        "sample_budget": est.sample_budget,
-        "stop_reason": est.stop_reason,
-    }
-    if want_time:
-        row["wall_time"] = est.wall_time
-    return row
+def _finished(value) -> Future:
+    future = Future()
+    future.set_result(value)
+    return future
+
+
+class _Jobs:
+    """Where ``run_benchmark``'s jobs run.
+
+    With more than one worker, on a process pool whose workers receive every
+    graph once; otherwise in the calling process, each job as it is
+    submitted, so a failure raises from ``submit``. Leaving the ``with``
+    block cancels the queued jobs and waits for the running ones, so no
+    worker outlives the call.
+    """
+
+    def __init__(self, graphs: dict[str, DirectedGraph], workers: int):
+        self._graphs = graphs
+        self._pool = None
+        if workers > 1:
+            self._pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                             initargs=(graphs,))
+
+    def submit(self, job, dataset: str, *args) -> Future:
+        if self._pool is not None:
+            return self._pool.submit(_run_pooled, job, dataset, *args)
+        return _finished(job(self._graphs[dataset], *args))
+
+    def __enter__(self) -> "_Jobs":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
 def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[str, Any]:
@@ -225,6 +302,17 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     and one aggregate cell per (dataset, vertex, method, tolerance) with
     average and maximum error and time over the repetitions. Error columns
     appear when the matching exact oracle is feasible for the dataset.
+
+    Every cell's estimator config is built, and so checked, before any job
+    starts. A dataset whose exact betweenness is wanted, or whose vertices
+    are its top-betweenness ones, gets one ``brandes_betweenness_all`` job.
+    As each of those finishes, in completion order, the dataset's vertices
+    are picked, and its oracle job and its rows are submitted; the caller
+    then computes each vertex's reachability fractions while the jobs run.
+    Row ``i`` of the sorted task list keeps seed ``_task_seed(master_seed,
+    i)``: a dataset's rows start after those of the datasets sorted before
+    it, and their number never depends on the scores. A failing job cancels
+    the queued ones and its error propagates.
     """
     if not isinstance(config, dict):
         raise ValueError("a benchmark config must be a JSON object")
@@ -236,68 +324,85 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; known: {METHODS}")
+    methods = sorted(methods)
     grid = _section(config, "grid")
-    tolerances = [float(t) for t in _list_of(
-        grid.get("tolerances", [0.05]), (int, float), "grid.tolerances", "numbers")]
+    tolerances = sorted(float(t) for t in _list_of(
+        grid.get("tolerances", [0.05]), (int, float), "grid.tolerances", "numbers"))
     failure_prob = _scalar(grid.get("failure_prob", 0.1), float, "grid.failure_prob")
     kpath_spec = _section(config, "kpath")
     _scalar(kpath_spec.get("k", 5), int, "kpath.k")
     if workers is None:
         workers = _scalar(config.get("workers", 1), int, "workers")
+    cell_configs = {(method, tolerance): _cell_config(method, tolerance, failure_prob, kpath_spec)
+                    for method in methods for tolerance in tolerances}
 
     policy = _section(config, "vertices")
-    _scalar(policy.get("count", 5), int, "vertices.count")
+    count = _scalar(policy.get("count", 5), int, "vertices.count")
     specs = _list_of(config.get("datasets", []), dict, "datasets", "objects")
-    datasets = []
+    datasets: dict[str, tuple[DirectedGraph, list[int] | None]] = {}
     for spec in specs:
         g = _load_dataset(spec)
         name = spec.get("name") or spec.get("path", "dataset")
-        if any(name == d[0] for d in datasets):
+        if name in datasets:
             # rows, oracle values and worker graphs are all keyed by name
             raise ValueError(f"duplicate dataset name {name!r}")
-        scores = None
-        if want_exact and g.vertex_count <= COVERAGE_GUARD:
-            scores = brandes_betweenness_all(g)
-        if scores is not None and policy.get("policy", "top-betweenness") == "top-betweenness":
-            # reuse the oracle pass instead of running it again inside
-            # select_top_vertices; at benchmark sizes it dominates setup time
-            ranked = sorted(g.vertices(), key=lambda v: (-scores[v], v))
-            vertices = ranked[: max(0, int(policy.get("count", 5)))]
-        else:
-            vertices = _pick_vertices(g, policy, master_seed)
-        datasets.append((name, g, vertices, scores))
+        datasets[name] = (g, _pick_vertices(g, policy, master_seed))
 
-    tasks = []
+    rows_per_vertex = len(methods) * len(tolerances) * max(0, reps)
+    offsets: dict[str, int] = {}
+    total = 0
+    for name in sorted(datasets):
+        g, vertices = datasets[name]
+        offsets[name] = total
+        picked = len(vertices) if vertices is not None else min(max(0, count), g.vertex_count)
+        total += picked * rows_per_vertex
+
+    graphs = {name: g for name, (g, _) in datasets.items()}
+    rows: list[dict[str, Any] | None] = [None] * total
     exacts: dict[tuple, float | None] = {}
     fractions: dict[tuple, dict[str, float]] = {}
-    for name, g, vertices, scores in sorted(datasets, key=lambda d: d[0]):
-        for vertex in vertices:
-            reach = compute_reachability(g, vertex)
-            fractions[(name, g.label_of(vertex))] = {
-                "pair_fraction": float(reach.pair_fraction),
-                "source_fraction": float(reach.source_fraction),
-            }
-            for method in sorted(methods):
-                exacts[(name, g.label_of(vertex), method)] = (
-                    _exact_value(method, g, vertex, scores, kpath_spec)
-                    if want_exact else None
-                )
-                for tolerance in sorted(tolerances):
-                    for rep in range(reps):
-                        tasks.append((name, vertex, method, tolerance,
-                                      failure_prob, rep, None, kpath_spec, want_time))
-    prepared = [
-        task[:6] + (_task_seed(master_seed, i),) + task[7:]
-        for i, task in enumerate(tasks)
-    ]
-
-    graphs = {name: g for name, g, _, _ in datasets}
-    if workers > 1 and len(prepared) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(graphs,)) as pool:
-            rows = list(pool.map(_run_pooled, prepared, chunksize=1))
-    else:
-        rows = [_run_task(graphs[p[0]], p) for p in prepared]
+    with _Jobs(graphs, workers) as jobs:
+        scoring = {}
+        for name, (g, vertices) in datasets.items():
+            wanted = vertices is None or (want_exact and g.vertex_count <= COVERAGE_GUARD)
+            scoring[jobs.submit(_scores_job, name) if wanted else _finished(None)] = name
+        row_jobs: dict[Future, int] = {}
+        oracle_jobs: dict[Future, str] = {}
+        for done in as_completed(scoring):
+            name = scoring[done]
+            scores = done.result()
+            g, vertices = datasets[name]
+            if vertices is None:
+                vertices = _ranked(g, scores, count)
+            if want_exact:
+                oracle_jobs[jobs.submit(_oracle_job, name, vertices, methods, kpath_spec)] = name
+            index = offsets[name]
+            for vertex in vertices:
+                for method in methods:
+                    for tolerance in tolerances:
+                        for rep in range(reps):
+                            cfg = replace(cell_configs[method, tolerance],
+                                          seed=_task_seed(master_seed, index))
+                            job = jobs.submit(_row_job, name, name, vertex, method, rep,
+                                              cfg, want_time)
+                            row_jobs[job] = index
+                            index += 1
+            for vertex in vertices:
+                label = g.label_of(vertex)
+                reach = compute_reachability(g, vertex)
+                fractions[name, label] = {
+                    "pair_fraction": float(reach.pair_fraction),
+                    "source_fraction": float(reach.source_fraction),
+                }
+                if want_exact and scores is not None:
+                    exacts[name, label, "betweenness"] = float(scores[vertex])
+                    exacts[name, label, "betweenness-baseline"] = float(scores[vertex])
+        for done in as_completed([*row_jobs, *oracle_jobs]):
+            if done in row_jobs:
+                rows[row_jobs[done]] = done.result()
+            else:
+                name = oracle_jobs[done]
+                exacts.update(((name, *key), value) for key, value in done.result().items())
 
     for row in rows:
         row.update(fractions[(row["dataset"], row["vertex"])])
@@ -342,7 +447,7 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
         "failure_prob": failure_prob,
         "graphs": {name: {"hash": _graph_hash(g), "vertices": g.vertex_count,
                           "edges": g.edge_count}
-                   for name, g, _, _ in datasets},
+                   for name, g in graphs.items()},
         "rows": rows,
         "cells": cells,
     }

@@ -27,6 +27,7 @@ __all__ = [
     "brandes_betweenness",
     "brandes_betweenness_all",
     "restricted_pair_betweenness",
+    "all_pairs_distances",
     "exact_coverage",
     "exact_kpath",
     "EXACT_ARITHMETIC_THRESHOLD",
@@ -162,15 +163,25 @@ def restricted_pair_betweenness(
     return total / (n * (n - 1))
 
 
-def exact_coverage(g: DirectedGraph, root: int, guard: int = COVERAGE_GUARD):
+def all_pairs_distances(g: DirectedGraph):
+    """Hop distances between all ordered pairs, ``inf`` where unreachable.
+
+    Comes from scipy's BFS-based shortest-path kernel, an independent code
+    path from this package's own searches.
+    """
+    from scipy.sparse import csgraph
+
+    return csgraph.shortest_path(g.to_csr(), method="auto", unweighted=True)
+
+
+def exact_coverage(g: DirectedGraph, root: int, guard: int = COVERAGE_GUARD, dist=None):
     """Fraction of ordered non-root pairs with the root on a shortest path.
 
-    All-pairs distances come from scipy's BFS-based shortest-path kernel
-    (an independent code path from this package's own searches); a pair
-    (s, t) counts iff d(s, root) + d(root, t) equals a finite d(s, t).
+    A pair (s, t) counts iff d(s, root) + d(root, t) equals a finite
+    d(s, t). ``dist`` is ``all_pairs_distances(g)``, computed here unless a
+    caller asking about several roots passes it in.
     """
     import numpy as np
-    from scipy.sparse import csgraph
 
     g._check(root)
     n = g.vertex_count
@@ -179,7 +190,8 @@ def exact_coverage(g: DirectedGraph, root: int, guard: int = COVERAGE_GUARD):
     if n > guard:
         raise GuardError(f"exact coverage is capped at {guard} vertices, got {n}")
 
-    dist = csgraph.shortest_path(g.to_csr(), method="auto", unweighted=True)
+    if dist is None:
+        dist = all_pairs_distances(g)
     through = dist[:, root][:, None] + dist[root, :][None, :]
     hit = np.isfinite(dist) & (through == dist)
     hit[root, :] = False

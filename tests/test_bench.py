@@ -1,3 +1,6 @@
+import hashlib
+import multiprocessing
+
 import pytest
 
 import pathcentral.bench
@@ -198,6 +201,115 @@ class TestRunBenchmark:
         bad = [{"name": "d", "generator": "random", "params": {"n": 25, "p": 0.1}}]
         with pytest.raises(ValueError, match="edge_prob"):
             run_benchmark(tiny_config(datasets=bad))
+
+
+def pinned_config(vertices):
+    # two datasets listed out of name order, the second small enough for
+    # the exact k-path oracle, every method and two tolerances
+    return {
+        "seed": 17,
+        "reps": 2,
+        "timing": False,
+        "exact": True,
+        "datasets": [
+            {"name": "tiny-random", "generator": "random",
+             "params": {"n": 20, "edge_prob": 0.15, "seed": 3}},
+            {"name": "small-layered", "generator": "layered",
+             "params": {"layers": 3, "width": 4, "seed": 2}},
+        ],
+        "vertices": vertices,
+        "methods": ["betweenness", "betweenness-baseline", "coverage", "kpath"],
+        "grid": {"tolerances": [0.2, 0.1], "failure_prob": 0.1},
+        "kpath": {"k": 3, "weight": "original"},
+    }
+
+
+# sha256 of report_to_json, recorded before the oracles moved into the
+# worker pool; a slip in the per-dataset seed offsets changes them
+PINNED_DIGESTS = {
+    "top-betweenness": (
+        {"policy": "top-betweenness", "count": 2},
+        "2471351015fcdb62f38952e77a73dbe56f80dccc499d816a6a647cb5d5c141d1",
+    ),
+    "labels": (
+        {"policy": "labels", "labels": ["5", "1"]},
+        "4aa98f9a02192dc19de355ee1cb744bc6bc861402db4b792260203aa066a4242",
+    ),
+    "random": (
+        {"policy": "random", "count": 2},
+        "94a1ce128f1ba5fe870ec295ffde816caede5896aeaf0dc29b6fed5784d76046",
+    ),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+class TestScheduling:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("policy", sorted(PINNED_DIGESTS))
+    def test_reports_match_recorded_digests(self, policy, workers):
+        vertices, digest = PINNED_DIGESTS[policy]
+        report = run_benchmark(pinned_config(vertices), workers=workers)
+        assert sum(r["exact"] is not None for r in report["rows"]) == 56
+        text = report_to_json(report)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"grid": {"tolerances": [0.01, 1.5], "failure_prob": 0.1}},
+            {"grid": {"tolerances": [0.1], "failure_prob": 1.0}},
+            {"kpath": {"k": 3, "weight": "heavy"}},
+            {"kpath": {"k": 3, "stopping": "sometimes"}},
+            {"kpath": {"k": 0}},
+        ],
+    )
+    def test_bad_cell_config_fails_before_any_job(self, monkeypatch, overrides):
+        monkeypatch.setattr(pathcentral.bench, "brandes_betweenness_all", _refuse)
+        monkeypatch.setattr(pathcentral.bench, "ProcessPoolExecutor", _refuse)
+        monkeypatch.setattr(pathcentral.bench, "_load_dataset", _refuse)
+        with pytest.raises(ValueError):
+            run_benchmark(tiny_config(workers=2, **overrides))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_job_stops_the_run_and_leaves_no_worker(self, monkeypatch, workers):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args[1])
+            raise RuntimeError("estimator failed")
+
+        # the pool forks after the patch, so its workers see it too
+        monkeypatch.setattr(pathcentral.bench, "estimate_coverage", failing)
+        with pytest.raises(RuntimeError, match="estimator failed"):
+            run_benchmark(tiny_config(methods=["coverage"], reps=3), workers=workers)
+        assert multiprocessing.active_children() == []
+        if workers == 1:
+            # jobs run as they are submitted, so nothing runs after the failure
+            assert len(calls) == 1
+
+    def test_coverage_matrix_built_once_per_dataset(self, monkeypatch):
+        matrices, roots = [], []
+        real_matrix = pathcentral.bench.all_pairs_distances
+        real_coverage = pathcentral.bench.exact_coverage
+
+        def counting_matrix(g):
+            matrices.append(g)
+            return real_matrix(g)
+
+        def counting_coverage(g, root, **kwargs):
+            roots.append(root)
+            return real_coverage(g, root, **kwargs)
+
+        monkeypatch.setattr(pathcentral.bench, "all_pairs_distances", counting_matrix)
+        monkeypatch.setattr(pathcentral.bench, "exact_coverage", counting_coverage)
+        config = pinned_config({"policy": "top-betweenness", "count": 2})
+        report = run_benchmark(config, workers=1)
+        assert len(matrices) == 2
+        assert len(roots) == 4
+        assert all(r["exact"] is not None for r in report["rows"] if r["method"] == "coverage")
 
 
 class TestFormatting:

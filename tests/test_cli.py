@@ -282,6 +282,23 @@ class TestStdinAndErrors:
         assert code == 2
         assert f"config '{section}' must be" in err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"grid": {"tolerances": [0.01, 1.5]}}, "tolerance must be in (0, 1)"),
+            ({"methods": ["kpath"], "kpath": {"weight": "heavy"}}, "weight must be"),
+        ],
+    )
+    def test_bench_bad_estimator_config(self, capsys, tmp_path, overrides, message):
+        config = {"datasets": [{"name": "t", "generator": "random",
+                                "params": {"n": 15, "edge_prob": 0.2, "seed": 2}}]}
+        config.update(overrides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["bench", "--config", str(path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_end_to_end(self, capsys, tmp_path):

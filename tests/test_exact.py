@@ -5,6 +5,7 @@ import pytest
 from pathcentral.errors import GuardError
 from pathcentral.exact import (
     brandes_betweenness,
+    all_pairs_distances,
     brandes_betweenness_all,
     exact_coverage,
     exact_kpath,
@@ -114,6 +115,23 @@ class TestCoverage:
             g = random_digraph(7, p, seed=seed)
             for v in g.vertices():
                 assert exact_coverage(g, v) == coverage_by_enumeration(g, v)
+
+    def test_passed_matrix_gives_the_same_fraction(self):
+        # one matrix serves every root of a graph; the answer must not change
+        for g in REFERENCE_GRAPHS + [random_digraph(7, 0.4, seed=4)]:
+            dist = all_pairs_distances(g)
+            for v in g.vertices():
+                shared = exact_coverage(g, v, dist=dist)
+                assert isinstance(shared, Fraction)
+                assert shared == exact_coverage(g, v)
+
+    def test_passed_matrix_keeps_the_guards(self):
+        single = DirectedGraph.from_edges([], vertex_count=1)
+        with pytest.raises(GuardError):
+            exact_coverage(single, 0, dist=all_pairs_distances(single))
+        small = random_digraph(12, 0.3, seed=5)
+        with pytest.raises(GuardError):
+            exact_coverage(small, 0, guard=10, dist=all_pairs_distances(small))
 
     def test_covers_at_least_the_weighted_pairs(self):
         # every pair with positive path share through r must pass the
