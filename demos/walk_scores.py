@@ -26,8 +26,7 @@ def main() -> None:
 
     for root in g.vertices():
         exact = float(exact_kpath(g, root, k))
-        cfg = KPathConfig(k=k, tolerance=0.02, failure_prob=0.1, seed=11,
-                          count_sink_roots=True)
+        cfg = KPathConfig(k=k, tolerance=0.02, failure_prob=0.1, seed=11)
         est = estimate_kpath_centrality(g, root, cfg)
         print(f"{g.label_of(root):>6}  {exact:>8.5f}  {est.value:>9.5f}  "
               f"{est.samples:>8}  {abs(est.value - exact):>8.5f}")

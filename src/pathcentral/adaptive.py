@@ -85,10 +85,9 @@ class Estimate:
     for k-path), so ``0 <= value <= contribution_bound`` always holds.
     ``lower_conf``/``upper_conf`` are ``value`` minus/plus the final gap
     terms; they are None when the run had no gap terms to evaluate (fixed
-    sample counts), ``value`` -/+ the tolerance under k-path's hoeffding
-    rule, and 0.0 for degenerate zeros. ``hits`` counts samples with nonzero
-    contribution, a cheap diagnostic for how often the root was actually
-    seen.
+    sample counts), and 0.0 for degenerate zeros. ``hits`` counts samples
+    with nonzero contribution, a cheap diagnostic for how often the root
+    was actually seen.
     """
 
     value: float
@@ -232,10 +231,10 @@ def run_sampling_loop(
 
     ``draw`` produces one per-sample contribution in ``[0, bound]``.
     ``gap_terms(mean, tau)`` evaluates the two adaptive gap terms, or is
-    None when only the budget should stop the run (fixed sample counts,
-    plain concentration budgets); then ``lower_conf``/``upper_conf`` are
-    None. ``seed`` is the concrete seed of the run's generator and
-    ``started`` its ``time.perf_counter()`` start, for ``wall_time``.
+    None when only the budget should stop the run (fixed sample counts);
+    then ``lower_conf``/``upper_conf`` are None. ``seed`` is the concrete
+    seed of the run's generator and ``started`` its ``time.perf_counter()``
+    start, for ``wall_time``.
 
     The run stops before the first draw at which both gap terms, evaluated
     at the running mean, are at most the tolerance (``bounds-satisfied``),

@@ -119,10 +119,11 @@ def _graph_hash(g: DirectedGraph) -> str:
     return hashlib.sha256(dump_edge_list(g).encode("utf-8")).hexdigest()[:16]
 
 
-def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], master_seed: int) -> list[int] | None:
+def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], count: int,
+                   master_seed: int) -> list[int] | None:
     """The policy's vertices, or None for ``top-betweenness``, whose pick
     waits for the dataset's betweenness scores."""
-    kind = policy.get("policy", "top-betweenness")
+    kind = policy["policy"]
     if kind == "top-betweenness":
         _check_top_guard(g, COVERAGE_GUARD)
         return None
@@ -130,16 +131,21 @@ def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], master_seed: int) -
         return [g.id_of(str(lab)) for lab in policy["labels"]]
     if kind == "random":
         rng = np.random.default_rng(master_seed)
-        count = min(int(policy.get("count", 5)), g.vertex_count)
+        count = min(count, g.vertex_count)
         return sorted(int(v) for v in rng.choice(g.vertex_count, size=count, replace=False))
     raise ValueError(f"unknown vertex policy {kind!r}")
 
 
+def _setting(config: dict[str, Any], key: str) -> Any:
+    return config.get(key, DEFAULT_CONFIG[key])
+
+
 def _section(config: dict[str, Any], key: str) -> dict[str, Any]:
-    value = config.get(key, DEFAULT_CONFIG[key])
+    """The section ``key``, each missing leaf filled from ``DEFAULT_CONFIG``."""
+    value = _setting(config, key)
     if not isinstance(value, dict):
         raise ValueError(f"config {key!r} must be an object, got {type(value).__name__}")
-    return value
+    return {**DEFAULT_CONFIG[key], **value}
 
 
 def _list_of(value: Any, kind, key: str, what: str) -> list:
@@ -163,18 +169,25 @@ def _task_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _kpath_config(spec: dict[str, Any]) -> KPathConfig:
+    """The checked ``kpath`` section, at the default accuracy.
+
+    A grid cell is a (tolerance, failure_prob) target and every root with
+    an in-edge is sampled, so the older keys ``stopping`` and
+    ``count_sink_roots`` are accepted only with the values that say so.
+    """
+    for key, value in (("stopping", "adaptive"), ("count_sink_roots", True)):
+        if key in spec and (type(spec[key]) is not type(value) or spec[key] != value):
+            raise ValueError(f"config 'kpath.{key}' must be {json.dumps(value)}, "
+                             f"got {json.dumps(spec[key])}")
+    return KPathConfig(k=_scalar(spec["k"], int, "kpath.k"), weight=spec["weight"])
+
+
 def _cell_config(method: str, tolerance: float, failure_prob: float,
-                 kpath_spec: dict[str, Any]) -> EstimatorConfig | KPathConfig:
+                 kpath: KPathConfig) -> EstimatorConfig | KPathConfig:
     """The estimator config of a cell's rows, less the per-row seed."""
     if method == "kpath":
-        return KPathConfig(
-            k=int(kpath_spec.get("k", 5)),
-            tolerance=tolerance,
-            failure_prob=failure_prob,
-            weight=kpath_spec.get("weight", "original"),
-            stopping=kpath_spec.get("stopping", "adaptive"),
-            count_sink_roots=bool(kpath_spec.get("count_sink_roots", True)),
-        )
+        return replace(kpath, tolerance=tolerance, failure_prob=failure_prob)
     return EstimatorConfig(
         tolerance=tolerance,
         failure_prob=failure_prob,
@@ -198,7 +211,7 @@ def _scores_job(g: DirectedGraph):
 
 
 def _oracle_job(g: DirectedGraph, vertices: list[int], methods: list[str],
-                kpath_spec: dict[str, Any]) -> dict[tuple[str, str], float | None]:
+                k: int, weight: str) -> dict[tuple[str, str], float | None]:
     """Exact coverage and k-path values by (vertex label, method).
 
     The all-pairs matrix is built once here and shared by every vertex's
@@ -207,8 +220,6 @@ def _oracle_job(g: DirectedGraph, vertices: list[int], methods: list[str],
     dist = None
     if "coverage" in methods and g.vertex_count <= COVERAGE_GUARD:
         dist = all_pairs_distances(g)
-    k = int(kpath_spec.get("k", 5))
-    weight = kpath_spec.get("weight", "original")
     values = {}
     for vertex in vertices:
         label = g.label_of(vertex)
@@ -316,28 +327,27 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     """
     if not isinstance(config, dict):
         raise ValueError("a benchmark config must be a JSON object")
-    master_seed = _scalar(config.get("seed", DEFAULT_CONFIG["seed"]), int, "seed")
-    reps = _scalar(config.get("reps", 3), int, "reps")
-    want_time = bool(config.get("timing", True))
-    want_exact = bool(config.get("exact", True))
-    methods = _list_of(config.get("methods", ["betweenness"]), str, "methods", "strings")
+    master_seed = _scalar(_setting(config, "seed"), int, "seed")
+    reps = _scalar(_setting(config, "reps"), int, "reps")
+    want_time = bool(_setting(config, "timing"))
+    want_exact = bool(_setting(config, "exact"))
+    methods = _list_of(_setting(config, "methods"), str, "methods", "strings")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; known: {METHODS}")
     methods = sorted(methods)
     grid = _section(config, "grid")
     tolerances = sorted(float(t) for t in _list_of(
-        grid.get("tolerances", [0.05]), (int, float), "grid.tolerances", "numbers"))
-    failure_prob = _scalar(grid.get("failure_prob", 0.1), float, "grid.failure_prob")
-    kpath_spec = _section(config, "kpath")
-    _scalar(kpath_spec.get("k", 5), int, "kpath.k")
+        grid["tolerances"], (int, float), "grid.tolerances", "numbers"))
+    failure_prob = _scalar(grid["failure_prob"], float, "grid.failure_prob")
+    kpath = _kpath_config(_section(config, "kpath"))
     if workers is None:
-        workers = _scalar(config.get("workers", 1), int, "workers")
-    cell_configs = {(method, tolerance): _cell_config(method, tolerance, failure_prob, kpath_spec)
+        workers = _scalar(_setting(config, "workers"), int, "workers")
+    cell_configs = {(method, tolerance): _cell_config(method, tolerance, failure_prob, kpath)
                     for method in methods for tolerance in tolerances}
 
     policy = _section(config, "vertices")
-    count = _scalar(policy.get("count", 5), int, "vertices.count")
+    count = _scalar(policy["count"], int, "vertices.count")
     specs = _list_of(config.get("datasets", []), dict, "datasets", "objects")
     datasets: dict[str, tuple[DirectedGraph, list[int] | None]] = {}
     for spec in specs:
@@ -346,7 +356,7 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
         if name in datasets:
             # rows, oracle values and worker graphs are all keyed by name
             raise ValueError(f"duplicate dataset name {name!r}")
-        datasets[name] = (g, _pick_vertices(g, policy, master_seed))
+        datasets[name] = (g, _pick_vertices(g, policy, count, master_seed))
 
     rows_per_vertex = len(methods) * len(tolerances) * max(0, reps)
     offsets: dict[str, int] = {}
@@ -375,7 +385,8 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
             if vertices is None:
                 vertices = _ranked(g, scores, count)
             if want_exact:
-                oracle_jobs[jobs.submit(_oracle_job, name, vertices, methods, kpath_spec)] = name
+                oracle_jobs[jobs.submit(_oracle_job, name, vertices, methods,
+                                        kpath.k, kpath.weight)] = name
             index = offsets[name]
             for vertex in vertices:
                 for method in methods:

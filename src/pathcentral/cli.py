@@ -78,6 +78,8 @@ def _add_accuracy(parser: argparse.ArgumentParser) -> None:
                         metavar="Y", help="failure probability (default 0.1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (drawn and reported when omitted)")
+    parser.add_argument("--fixed-samples", type=int, default=None, metavar="N",
+                        help="disable the adaptive rule and draw exactly N samples")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,30 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-def", choices=("original", "restricted"), default="original",
                    help="walk-weight denominator definition")
 
-    # bc-estimate and coverage-estimate take the same options; only
-    # bc-estimate's help describes the sampling flags.
     for name, measure in (("bc-estimate", "betweenness"), ("coverage-estimate", "coverage")):
-        described = name == "bc-estimate"
         p = sub.add_parser(name, help=f"adaptive {measure} estimate")
         _add_common(p)
         p.add_argument("--vertex", required=True)
         _add_accuracy(p)
         p.add_argument("--baseline", action="store_true",
-                       help="sample endpoints from all non-root vertices" if described else None)
-        p.add_argument("--fixed-samples", type=int, default=None, metavar="N",
-                       help="disable the adaptive rule and draw exactly N samples"
-                       if described else None)
+                       help="sample endpoints from all non-root vertices")
 
     p = sub.add_parser("kpath-estimate", help="k-path centrality estimate")
     _add_common(p)
     p.add_argument("--vertex", required=True)
     p.add_argument("--k", type=int, required=True)
     _add_accuracy(p)
-    p.add_argument("--stopping", default="adaptive", metavar="{fixed:N|hoeffding|adaptive}",
-                   help="run length rule (default adaptive)")
     p.add_argument("--w-def", choices=("original", "restricted"), default="original")
-    p.add_argument("--count-sink-roots", action="store_true",
-                   help="estimate roots with no outgoing edges instead of returning 0")
 
     p = sub.add_parser("reach", help="reachability summary around one vertex")
     _add_common(p)
@@ -149,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, graph=False)
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel cells (overrides the config)")
+                   help="worker processes for the rows and the exact oracles "
+                        "(overrides the config)")
 
     # testing hook, not part of the documented surface
     p = sub.add_parser("sample-path")
@@ -202,26 +195,19 @@ def _cmd_estimate(args) -> dict:
 def _cmd_kpath_estimate(args) -> dict:
     g = _load_graph(args.graph)
     v = g.id_of(args.vertex)
-    stopping = args.stopping
-    fixed = None
-    if stopping.startswith("fixed:"):
-        fixed = int(stopping.split(":", 1)[1])
-        stopping = "fixed"
     cfg = KPathConfig(
         k=args.k,
         tolerance=args.tolerance,
         failure_prob=args.failure_prob,
         seed=args.seed,
         weight=args.w_def,
-        stopping=stopping,
-        fixed_samples=fixed,
-        count_sink_roots=args.count_sink_roots,
+        stopping="adaptive" if args.fixed_samples is None else "fixed",
+        fixed_samples=args.fixed_samples,
     )
     est = estimate_kpath_centrality(g, v, cfg)
     payload = _estimate_payload(args.vertex, "sampled-walks", est)
     payload["k"] = args.k
     payload["weight"] = args.w_def
-    payload["stopping"] = args.stopping
     payload["source_fraction"] = est.contribution_bound
     return payload
 

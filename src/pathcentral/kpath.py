@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .adaptive import (
@@ -56,15 +56,13 @@ class KPathConfig:
     domain (making the weight equal to the draw probability, so every
     complete hit contributes exactly the upstream share).
 
-    ``stopping`` picks the run length: ``"fixed"`` runs ``fixed_samples``
-    draws, ``"hoeffding"`` runs a precomputed concentration budget, and
-    ``"adaptive"`` stops early once two gap terms drop below the tolerance,
-    with a slightly larger fallback budget covering the remaining risk.
+    ``stopping`` picks the run length, as for the pair estimators:
+    ``"adaptive"`` stops once both gap terms drop below the tolerance or
+    the fallback budget is spent, ``"fixed"`` runs exactly
+    ``fixed_samples`` draws.
 
-    ``count_sink_roots=True`` lets a root with no outgoing edges be
-    estimated (paths may end at the root, so its score can be positive);
-    the default returns zero for such roots, matching the pair-sampling
-    convention.
+    Every root with an in-edge is sampled, sinks included: a counted path
+    may end at the root, so a root with no out-edge can score above zero.
     """
 
     k: int
@@ -74,7 +72,6 @@ class KPathConfig:
     weight: str = "original"
     stopping: str = "adaptive"
     fixed_samples: int | None = None
-    count_sink_roots: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -85,10 +82,8 @@ class KPathConfig:
             raise ValueError("failure_prob must be in (0, 1)")
         if self.weight not in ("original", "restricted"):
             raise ValueError(f"weight must be 'original' or 'restricted', got {self.weight!r}")
-        if self.stopping not in ("fixed", "hoeffding", "adaptive"):
-            raise ValueError(
-                f"stopping must be 'fixed', 'hoeffding' or 'adaptive', got {self.stopping!r}"
-            )
+        if self.stopping not in ("adaptive", "fixed"):
+            raise ValueError(f"stopping must be 'adaptive' or 'fixed', got {self.stopping!r}")
         if self.stopping == "fixed" and (self.fixed_samples is None or self.fixed_samples < 1):
             raise ValueError("stopping='fixed' needs fixed_samples >= 1")
 
@@ -152,16 +147,15 @@ def compute_walk_budget(
     tolerance: float,
     failure_prob: float,
     source_fraction: float,
-    adaptive: bool = False,
 ) -> int:
     """Sample count sufficient for the target accuracy at the given range.
 
     Plain two-sided concentration over samples bounded by the source
-    fraction; the adaptive variant spends only half the failure budget here
-    (the gap terms get the other half).
+    fraction, missing the tolerance with probability at most
+    ``failure_prob``. The estimator passes half its failure probability;
+    the gap terms get the other half.
     """
-    risk = failure_prob / 2.0 if adaptive else failure_prob
-    base = math.log(2.0 / risk) / (2.0 * tolerance**2)
+    base = math.log(2.0 / failure_prob) / (2.0 * tolerance**2)
     budget = math.ceil(source_fraction**2 * base)
     return max(budget, 1)
 
@@ -256,8 +250,6 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
 
     if g.in_degree(root) == 0:
         return degenerate_estimate(seed, started)
-    if g.out_degree(root) == 0 and not cfg.count_sink_roots:
-        return degenerate_estimate(seed, started)
 
     reach = compute_reachability(g, root)
     sources = tuple(sorted(reach.upstream))
@@ -266,11 +258,8 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
     if cfg.stopping == "fixed":
         budget = cfg.fixed_samples
         gap_terms = None
-    elif cfg.stopping == "hoeffding":
-        budget = compute_walk_budget(cfg.tolerance, cfg.failure_prob, bound)
-        gap_terms = None
     else:
-        budget = compute_walk_budget(cfg.tolerance, cfg.failure_prob, bound, adaptive=True)
+        budget = compute_walk_budget(cfg.tolerance, cfg.failure_prob / 2.0, bound)
         risk = gap_term_risk(cfg.failure_prob)
 
         def gap_terms(mean: float, tau: int) -> tuple[float, float]:
@@ -294,9 +283,4 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
             return n_src * walk.probability_denominator / (n * walk.weight_denominator)
         return 0.0
 
-    est = run_sampling_loop(draw, budget, cfg.tolerance, gap_terms, bound, seed, started)
-    if cfg.stopping == "hoeffding":
-        est = replace(
-            est, lower_conf=est.value - cfg.tolerance, upper_conf=est.value + cfg.tolerance
-        )
-    return est
+    return run_sampling_loop(draw, budget, cfg.tolerance, gap_terms, bound, seed, started)

@@ -5,6 +5,7 @@ import pytest
 
 import pathcentral.bench
 from pathcentral.bench import (
+    DEFAULT_CONFIG,
     format_table,
     report_to_json,
     run_benchmark,
@@ -173,6 +174,15 @@ class TestRunBenchmark:
         two = run_benchmark(config)
         assert [r["vertex"] for r in one["rows"]] == [r["vertex"] for r in two["rows"]]
 
+    def test_vertex_count_defaults_with_or_without_the_section(self):
+        bare = tiny_config(methods=["coverage"], reps=1)
+        del bare["vertices"]
+        named = tiny_config(methods=["coverage"], reps=1,
+                            vertices={"policy": "top-betweenness"})
+        picked = [[r["vertex"] for r in run_benchmark(c)["rows"]] for c in (bare, named)]
+        assert picked[0] == picked[1]
+        assert len(picked[0]) == DEFAULT_CONFIG["vertices"]["count"]
+
     def test_file_datasets_load(self, tmp_path, shortcut):
         path = tmp_path / "g.edges"
         path.write_text(dump_edge_list(shortcut), encoding="utf-8")
@@ -264,6 +274,8 @@ class TestScheduling:
             {"kpath": {"k": 3, "weight": "heavy"}},
             {"kpath": {"k": 3, "stopping": "sometimes"}},
             {"kpath": {"k": 0}},
+            {"kpath": {"k": 3, "stopping": "fixed"}},
+            {"kpath": {"k": 3, "count_sink_roots": False}},
         ],
     )
     def test_bad_cell_config_fails_before_any_job(self, monkeypatch, overrides):

@@ -122,28 +122,36 @@ class TestEstimateCommands:
         assert code == 0
         assert "value" in out and "{" not in out
 
-    def test_kpath_estimate_stopping_rules(self, capsys, chain_file):
+    def test_kpath_estimate_run_lengths(self, capsys, chain_file):
         base = ["kpath-estimate", "--graph", chain_file, "--vertex", "b",
                 "--k", "2", "--seed", "3"]
-        fixed = run_json(capsys, base + ["--stopping", "fixed:777"])
-        assert fixed["samples"] == 777
-        assert fixed["stopping"] == "fixed:777"
-        hoeff = run_json(capsys, base + ["--stopping", "hoeffding"])
-        assert hoeff["samples"] == hoeff["sample_budget"]
+        fixed = run_json(capsys, base + ["--fixed-samples", "777"])
+        assert fixed["samples"] == fixed["sample_budget"] == 777
+        assert fixed["lower_conf"] is None and fixed["upper_conf"] is None
         adaptive = run_json(capsys, base)
-        assert adaptive["stopping"] == "adaptive"
-        for payload in (fixed, hoeff, adaptive):
+        assert adaptive["lower_conf"] is not None and adaptive["upper_conf"] is not None
+        for payload in (fixed, adaptive):
+            assert "stopping" not in payload
             assert payload["k"] == 2
             assert payload["weight"] == "original"
             assert payload["source_fraction"] == pytest.approx(1 / 3)
 
-    def test_kpath_sink_flag(self, capsys, chain_file):
+    def test_kpath_sink_root_is_sampled(self, capsys, chain_file):
         base = ["kpath-estimate", "--graph", chain_file, "--vertex", "c", "--k", "1",
                 "--seed", "3"]
-        without = run_json(capsys, base)
-        assert without["stop_reason"] == "degenerate-zero"
-        with_flag = run_json(capsys, base + ["--count-sink-roots", "--stopping", "fixed:400"])
-        assert with_flag["hits"] > 0
+        adaptive = run_json(capsys, base)
+        assert adaptive["stop_reason"] != "degenerate-zero"
+        assert adaptive["lower_conf"] <= 1 / 3 <= adaptive["upper_conf"]
+        fixed = run_json(capsys, base + ["--fixed-samples", "400"])
+        assert 0 < fixed["hits"] < fixed["samples"] == 400
+
+    @pytest.mark.parametrize("flag", [["--stopping", "hoeffding"], ["--count-sink-roots"]])
+    def test_kpath_run_flags_are_gone(self, capsys, chain_file, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["kpath-estimate", "--graph", chain_file, "--vertex", "b",
+                  "--k", "2", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestReachCommand:
@@ -243,10 +251,11 @@ class TestStdinAndErrors:
         assert code == 3
         assert "capped" in err
 
-    def test_bad_stopping_string(self, capsys, chain_file):
+    def test_bad_fixed_samples(self, capsys, chain_file):
         code = main(["kpath-estimate", "--graph", chain_file, "--vertex", "b",
-                     "--k", "2", "--stopping", "sometimes"])
+                     "--k", "2", "--fixed-samples", "0"])
         assert code == 2
+        assert "fixed_samples" in capsys.readouterr().err
 
     def test_bench_bad_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -298,6 +307,25 @@ class TestStdinAndErrors:
         code = main(["bench", "--config", str(path)])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kpath, key",
+        [
+            ({"stopping": "fixed"}, "kpath.stopping"),
+            ({"stopping": "hoeffding"}, "kpath.stopping"),
+            ({"count_sink_roots": False}, "kpath.count_sink_roots"),
+        ],
+    )
+    def test_bench_kpath_run_keys(self, capsys, tmp_path, kpath, key):
+        # the dataset file does not exist, so loading it first would fail
+        # with another message
+        config = {"datasets": [{"name": "t", "path": str(tmp_path / "absent.edges")}],
+                  "methods": ["kpath"], "kpath": kpath}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["bench", "--config", str(path)])
+        assert code == 2
+        assert f"config '{key}' must be" in capsys.readouterr().err
 
 
 class TestBenchCommand:

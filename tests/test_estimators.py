@@ -185,8 +185,6 @@ SEEDED_OUTPUTS = {
     "betweenness-fixed": (0.23365517241379313, 300, 121, "budget-reached", None, None),
     "kpath-adaptive": (0.11183241252302026, 362, 58, "budget-reached",
                        0.07545145447122345, 0.16367003875980718),
-    "kpath-hoeffding": (0.10674603174603174, 294, 45, "budget-reached",
-                        0.05674603174603174, 0.15674603174603174),
     "kpath-fixed": (0.10694444444444443, 300, 46, "budget-reached", None, None),
 }
 
