@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "EstimatorConfig",
+    "check_accuracy",
     "Estimate",
     "CompensatedSum",
     "compute_sample_budget",
@@ -33,6 +34,16 @@ __all__ = [
     "run_sampling_loop",
     "make_rng",
 ]
+
+
+def check_accuracy(tolerance: float, failure_prob: float, fixed_samples: int | None) -> None:
+    """Reject an accuracy target or run length that no estimator can honour."""
+    if not (0.0 < tolerance < 1.0):
+        raise ValueError("tolerance must be in (0, 1)")
+    if not (0.0 < failure_prob < 1.0):
+        raise ValueError("failure_prob must be in (0, 1)")
+    if fixed_samples is not None and fixed_samples < 1:
+        raise ValueError("fixed_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -61,14 +72,10 @@ class EstimatorConfig:
     fixed_samples: int | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError("tolerance must be in (0, 1)")
-        if not (0.0 < self.failure_prob < 1.0):
-            raise ValueError("failure_prob must be in (0, 1)")
+        check_accuracy(self.tolerance, self.failure_prob, self.fixed_samples)
         if self.mode not in ("restricted", "baseline"):
             raise ValueError(f"mode must be 'restricted' or 'baseline', got {self.mode!r}")
-        if self.fixed_samples is not None and self.fixed_samples < 1:
-            raise ValueError("fixed_samples must be >= 1")
+
 
 
 def gap_term_risk(failure_prob: float) -> float:
@@ -287,7 +294,9 @@ def run_sampling_loop(
             acc.add(c)
             hits += 1
         tau += 1
-    mean = acc.value / tau if tau > 0 else 0.0
+    # tau contributions of at most ``bound`` each, summed and divided by tau,
+    # can round one ulp above ``bound``; the true mean cannot exceed it.
+    mean = min(acc.value / tau, bound) if tau > 0 else 0.0
     if gap_terms is not None and tau > 0 and stop_reason == "budget-reached":
         a, b = gap_terms(mean, tau)
     return Estimate(

@@ -82,16 +82,16 @@ def _ranked(g: DirectedGraph, scores, count: int) -> list[int]:
     return sorted(g.vertices(), key=lambda v: (-scores[v], v))[: max(0, count)]
 
 
-def _check_top_guard(g: DirectedGraph, guard: int) -> None:
-    if g.vertex_count > guard:
+def _check_top_guard(g: DirectedGraph) -> None:
+    if g.vertex_count > COVERAGE_GUARD:
         raise GuardError(
-            f"top-vertex selection runs the exact oracle, capped at {guard} vertices"
+            f"top-vertex selection runs the exact oracle, capped at {COVERAGE_GUARD} vertices"
         )
 
 
-def select_top_vertices(g: DirectedGraph, count: int, guard: int = COVERAGE_GUARD) -> list[int]:
+def select_top_vertices(g: DirectedGraph, count: int) -> list[int]:
     """Vertex ids with the highest betweenness, ties broken by ascending id."""
-    _check_top_guard(g, guard)
+    _check_top_guard(g)
     return _ranked(g, brandes_betweenness_all(g), count)
 
 
@@ -125,7 +125,7 @@ def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], count: int,
     waits for the dataset's betweenness scores."""
     kind = policy["policy"]
     if kind == "top-betweenness":
-        _check_top_guard(g, COVERAGE_GUARD)
+        _check_top_guard(g)
         return None
     if kind == "labels":
         return [g.id_of(str(lab)) for lab in policy["labels"]]
@@ -348,7 +348,9 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
 
     policy = _section(config, "vertices")
     count = _scalar(policy["count"], int, "vertices.count")
-    specs = _list_of(config.get("datasets", []), dict, "datasets", "objects")
+    if count < 0:
+        raise ValueError(f"config 'vertices.count' must be >= 0, got {count}")
+    specs = _list_of(_setting(config, "datasets"), dict, "datasets", "objects")
     datasets: dict[str, tuple[DirectedGraph, list[int] | None]] = {}
     for spec in specs:
         g = _load_dataset(spec)
@@ -364,7 +366,7 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     for name in sorted(datasets):
         g, vertices = datasets[name]
         offsets[name] = total
-        picked = len(vertices) if vertices is not None else min(max(0, count), g.vertex_count)
+        picked = len(vertices) if vertices is not None else min(count, g.vertex_count)
         total += picked * rows_per_vertex
 
     graphs = {name: g for name, (g, _) in datasets.items()}

@@ -55,6 +55,8 @@ def _pair_loop(
     started = time.perf_counter()
     rng, seed = make_rng(cfg.seed)
 
+    # Past this check both restricted pools are non-empty: graphs hold no
+    # self-loops, so an in-neighbour is upstream and an out-neighbour downstream.
     if g.in_degree(root) == 0 or g.out_degree(root) == 0:
         return degenerate_estimate(seed, started)
 
@@ -66,8 +68,6 @@ def _pair_loop(
     else:
         sources = tuple(sorted(reach.upstream))
         targets = tuple(sorted(reach.downstream))
-        if not sources or not targets:
-            return degenerate_estimate(seed, started)
         bound = float(reach.pair_fraction)
 
     budget = compute_sample_budget(

@@ -144,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the rows and the exact oracles "
                         "(overrides the config)")
 
-    # testing hook, not part of the documented surface
+    # draws one uniform shortest path between two vertices (listed in the
+    # README); with no help line, the top-level --help names it only among
+    # the command choices
     p = sub.add_parser("sample-path")
     _add_common(p)
     p.add_argument("--source", required=True)
@@ -174,13 +176,14 @@ def _cmd_exact(args) -> dict:
 def _cmd_estimate(args) -> dict:
     g = _load_graph(args.graph)
     v = g.id_of(args.vertex)
-    cfg = EstimatorConfig(
-        tolerance=args.tolerance,
-        failure_prob=args.failure_prob,
-        seed=args.seed,
-        mode="baseline" if args.baseline else "restricted",
-        fixed_samples=args.fixed_samples,
-    )
+    run = dict(tolerance=args.tolerance, failure_prob=args.failure_prob, seed=args.seed,
+               fixed_samples=args.fixed_samples)
+    if args.command == "kpath-estimate":
+        est = estimate_kpath_centrality(g, v, KPathConfig(k=args.k, weight=args.w_def, **run))
+        payload = _estimate_payload(args.vertex, "sampled-walks", est)
+        payload.update(k=args.k, weight=args.w_def, source_fraction=est.contribution_bound)
+        return payload
+    cfg = EstimatorConfig(mode="baseline" if args.baseline else "restricted", **run)
     if args.command == "bc-estimate":
         est = estimate_betweenness(g, v, cfg)
         method = "sampled-paths"
@@ -190,26 +193,6 @@ def _cmd_estimate(args) -> dict:
     if args.baseline:
         method += "-baseline"
     return _estimate_payload(args.vertex, method, est)
-
-
-def _cmd_kpath_estimate(args) -> dict:
-    g = _load_graph(args.graph)
-    v = g.id_of(args.vertex)
-    cfg = KPathConfig(
-        k=args.k,
-        tolerance=args.tolerance,
-        failure_prob=args.failure_prob,
-        seed=args.seed,
-        weight=args.w_def,
-        stopping="adaptive" if args.fixed_samples is None else "fixed",
-        fixed_samples=args.fixed_samples,
-    )
-    est = estimate_kpath_centrality(g, v, cfg)
-    payload = _estimate_payload(args.vertex, "sampled-walks", est)
-    payload["k"] = args.k
-    payload["weight"] = args.w_def
-    payload["source_fraction"] = est.contribution_bound
-    return payload
 
 
 def _cmd_reach(args) -> dict:
@@ -281,10 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("bc-exact", "coverage-exact", "kpath-exact"):
             _emit(_cmd_exact(args), args.table)
-        elif args.command in ("bc-estimate", "coverage-estimate"):
+        elif args.command in ("bc-estimate", "coverage-estimate", "kpath-estimate"):
             _emit(_cmd_estimate(args), args.table)
-        elif args.command == "kpath-estimate":
-            _emit(_cmd_kpath_estimate(args), args.table)
         elif args.command == "reach":
             _emit(_cmd_reach(args), args.table)
         elif args.command == "gen":

@@ -5,9 +5,10 @@ betweenness (all vertices in one pass), a pair-restricted betweenness that
 only visits the root's upstream sources, an all-pairs distance check for
 coverage, and exhaustive simple-path enumeration for k-path scores.
 
-Everything below a configurable size threshold is computed in exact rational
-arithmetic so equality tests in higher layers are meaningful; above it the
-same code paths run in floats.
+Everything up to ``EXACT_ARITHMETIC_THRESHOLD`` vertices is computed in exact
+rational arithmetic so equality tests in higher layers are meaningful; above
+it the same code paths run in floats. ``brandes_betweenness_all`` alone takes
+another threshold, and ``exact_coverage`` alone another guard.
 
 Both betweenness oracles share one counting BFS on flat lists; Brandes'
 sweep finds predecessors by distance but still adds in reversed BFS order,
@@ -21,7 +22,7 @@ from operator import truediv
 
 from .errors import GuardError
 from .graph import DirectedGraph
-from .reachability import ReachabilityInfo, compute_reachability
+from .reachability import compute_reachability
 
 __all__ = [
     "brandes_betweenness",
@@ -108,36 +109,30 @@ def brandes_betweenness_all(
     return [v / denom for v in scores]
 
 
-def brandes_betweenness(
-    g: DirectedGraph, root: int, exact_threshold: int = EXACT_ARITHMETIC_THRESHOLD
-):
+def brandes_betweenness(g: DirectedGraph, root: int):
     """Exact betweenness of one vertex; see ``brandes_betweenness_all``."""
     g._check(root)
-    return brandes_betweenness_all(g, exact_threshold)[root]
+    return brandes_betweenness_all(g)[root]
 
 
-def restricted_pair_betweenness(
-    g: DirectedGraph,
-    root: int,
-    reach: ReachabilityInfo | None = None,
-    exact_threshold: int = EXACT_ARITHMETIC_THRESHOLD,
-):
+def restricted_pair_betweenness(g: DirectedGraph, root: int):
     """Betweenness of ``root`` summed over upstream-by-downstream pairs only.
 
     For a qualifying pair (the two legs through the root add up to the
     pair's distance) the number of shortest paths through the root factors
     into the two leg counts, so one forward BFS per upstream source plus a
-    single BFS from the root covers everything. Agrees with the
-    dependency-accumulation value on every graph; the point of keeping both
-    is that they can check each other.
+    single BFS from the root covers everything. Rational up to
+    ``EXACT_ARITHMETIC_THRESHOLD`` vertices, floats above, as in
+    ``brandes_betweenness_all``. Agrees with the dependency-accumulation
+    value on every graph; the point of keeping both is that they can check
+    each other.
     """
     g._check(root)
     n = g.vertex_count
     if n < 2:
         raise GuardError("betweenness needs at least 2 vertices")
-    if reach is None:
-        reach = compute_reachability(g, root)
-    exact = n <= exact_threshold
+    reach = compute_reachability(g, root)
+    exact = n <= EXACT_ARITHMETIC_THRESHOLD
     if not reach.upstream or not reach.downstream:
         return Fraction(0) if exact else 0.0
 
@@ -200,13 +195,7 @@ def exact_coverage(g: DirectedGraph, root: int, guard: int = COVERAGE_GUARD, dis
     return Fraction(int(hit.sum()), n * (n - 1))
 
 
-def exact_kpath(
-    g: DirectedGraph,
-    root: int,
-    k: int,
-    weight: str = "original",
-    reach: ReachabilityInfo | None = None,
-) -> Fraction:
+def exact_kpath(g: DirectedGraph, root: int, k: int, weight: str = "original") -> Fraction:
     """k-path centrality of ``root`` by exhaustive simple-path enumeration.
 
     Sums, over every simple path of length 1..k that starts at a non-root
@@ -217,7 +206,8 @@ def exact_kpath(
     inside the root's domain, so the enumeration can stay there without
     losing contributions.
 
-    Guarded to small inputs; the path count is factorial in the worst case.
+    Guarded to ``KPATH_VERTEX_GUARD`` vertices and ``KPATH_LENGTH_GUARD``
+    steps; the path count is factorial in the worst case.
     """
     g._check(root)
     n = g.vertex_count
@@ -229,8 +219,7 @@ def exact_kpath(
         raise ValueError("k must be >= 1")
     if weight not in ("original", "restricted"):
         raise ValueError(f"weight must be 'original' or 'restricted', got {weight!r}")
-    if reach is None:
-        reach = compute_reachability(g, root)
+    reach = compute_reachability(g, root)
 
     domain = reach.domain
     adj = g._fwd

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 from .adaptive import (
     Estimate,
+    check_accuracy,
     degenerate_estimate,
     gap_term_risk,
     make_rng,
@@ -56,10 +57,11 @@ class KPathConfig:
     domain (making the weight equal to the draw probability, so every
     complete hit contributes exactly the upstream share).
 
-    ``stopping`` picks the run length, as for the pair estimators:
-    ``"adaptive"`` stops once both gap terms drop below the tolerance or
-    the fallback budget is spent, ``"fixed"`` runs exactly
-    ``fixed_samples`` draws.
+    ``fixed_samples`` picks the run length, as in ``EstimatorConfig``: None
+    stops once both gap terms drop below the tolerance or the fallback
+    budget is spent, a count runs exactly that many draws. ``stopping``
+    names the same choice (``"adaptive"`` or ``"fixed"``); it is optional,
+    not stored, and refused when it disagrees with ``fixed_samples``.
 
     Every root with an in-edge is sampled, sinks included: a counted path
     may end at the root, so a root with no out-edge can score above zero.
@@ -70,22 +72,20 @@ class KPathConfig:
     failure_prob: float = 0.1
     seed: int | None = None
     weight: str = "original"
-    stopping: str = "adaptive"
+    stopping: InitVar[str | None] = None
     fixed_samples: int | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, stopping: str | None):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError("tolerance must be in (0, 1)")
-        if not (0.0 < self.failure_prob < 1.0):
-            raise ValueError("failure_prob must be in (0, 1)")
+        check_accuracy(self.tolerance, self.failure_prob, self.fixed_samples)
         if self.weight not in ("original", "restricted"):
             raise ValueError(f"weight must be 'original' or 'restricted', got {self.weight!r}")
-        if self.stopping not in ("adaptive", "fixed"):
-            raise ValueError(f"stopping must be 'adaptive' or 'fixed', got {self.stopping!r}")
-        if self.stopping == "fixed" and (self.fixed_samples is None or self.fixed_samples < 1):
-            raise ValueError("stopping='fixed' needs fixed_samples >= 1")
+        if stopping not in (None, "adaptive", "fixed"):
+            raise ValueError(f"stopping must be 'adaptive' or 'fixed', got {stopping!r}")
+        if stopping is not None and (stopping == "fixed") != (self.fixed_samples is not None):
+            raise ValueError(f"stopping={stopping!r} disagrees with "
+                             f"fixed_samples={self.fixed_samples!r}")
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
     sources = tuple(sorted(reach.upstream))
     bound = float(reach.source_fraction)
 
-    if cfg.stopping == "fixed":
+    if cfg.fixed_samples is not None:
         budget = cfg.fixed_samples
         gap_terms = None
     else:

@@ -191,6 +191,12 @@ class TestSamplingLoop:
         # the gaps for the final mean are evaluated once, after the last draw
         assert [c for c in calls if c[1] == 7] == [(7, 7)]
 
+    def test_mean_never_rounds_above_the_bound(self):
+        # 11 hits of this bound sum and divide to one ulp above it
+        bound = 0.007575757575757576
+        est = run_sampling_loop(lambda: bound, 11, 0.05, None, bound, 0, time.perf_counter())
+        assert est.value == bound
+
     def test_zero_budget_never_draws(self):
         est = run_loop(lambda: 1.0, 0, None)
         assert (est.value, est.samples, est.hits) == (0.0, 0, 0)

@@ -183,6 +183,12 @@ class TestRunBenchmark:
         assert picked[0] == picked[1]
         assert len(picked[0]) == DEFAULT_CONFIG["vertices"]["count"]
 
+    def test_datasets_default_to_the_default_config(self):
+        report = run_benchmark({"reps": 1, "exact": False, "timing": False,
+                                "vertices": {"policy": "random", "count": 1}})
+        assert set(report["graphs"]) == {"hub-400"}
+        assert len(report["rows"]) == 1
+
     def test_file_datasets_load(self, tmp_path, shortcut):
         path = tmp_path / "g.edges"
         path.write_text(dump_edge_list(shortcut), encoding="utf-8")

@@ -145,6 +145,22 @@ class TestEstimateCommands:
         fixed = run_json(capsys, base + ["--fixed-samples", "400"])
         assert 0 < fixed["hits"] < fixed["samples"] == 400
 
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["bc-estimate"], set()),
+            (["coverage-estimate"], set()),
+            (["kpath-estimate", "--k", "2"], {"k", "weight", "source_fraction"}),
+        ],
+    )
+    def test_estimate_payload_keys(self, capsys, chain_file, argv, extra):
+        payload = run_json(capsys, argv + ["--graph", chain_file, "--vertex", "b",
+                                           "--seed", "1"])
+        assert set(payload) == {
+            "value", "samples", "sample_budget", "contribution_bound", "stop_reason",
+            "lower_conf", "upper_conf", "seed", "wall_time", "hits", "vertex", "method",
+        } | extra
+
     @pytest.mark.parametrize("flag", [["--stopping", "hoeffding"], ["--count-sink-roots"]])
     def test_kpath_run_flags_are_gone(self, capsys, chain_file, flag):
         with pytest.raises(SystemExit) as exc:
@@ -290,6 +306,17 @@ class TestStdinAndErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert f"config '{section}' must be" in err
+
+    @pytest.mark.parametrize("policy", ["random", "top-betweenness"])
+    def test_bench_negative_vertex_count(self, capsys, tmp_path, policy):
+        config = {"datasets": [{"name": "t", "generator": "random",
+                                "params": {"n": 15, "edge_prob": 0.2, "seed": 2}}],
+                  "vertices": {"policy": policy, "count": -1}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["bench", "--config", str(path)])
+        assert code == 2
+        assert "config 'vertices.count' must be >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides, message",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -68,8 +69,22 @@ class TestConfigValidation:
 
     def test_defaults_accepted(self):
         cfg = KPathConfig(k=3)
-        assert cfg.stopping == "adaptive"
+        assert cfg.fixed_samples is None
+        assert "stopping" not in {f.name for f in fields(cfg)}
         assert cfg.weight == "original"
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(stopping="adaptive", fixed_samples=5), dict(stopping="fixed")],
+    )
+    def test_stopping_must_agree_with_fixed_samples(self, kwargs):
+        with pytest.raises(ValueError, match="disagrees with fixed_samples"):
+            KPathConfig(k=2, **kwargs)
+
+    def test_stopping_that_agrees_is_not_stored(self):
+        assert KPathConfig(k=2, stopping="fixed", fixed_samples=5) == KPathConfig(
+            k=2, fixed_samples=5)
+        assert KPathConfig(k=2, stopping="adaptive") == KPathConfig(k=2)
 
 
 class TestSampleWalk:
@@ -268,6 +283,12 @@ class TestKPathEstimates:
         )
         se = math.sqrt(max(bound * exact - exact**2, 1e-18) / tau)
         assert abs(est.value - exact) <= 3 * se
+
+    def test_fixed_samples_alone_picks_the_run_length(self):
+        g = random_digraph(30, 0.1, seed=2)
+        est = estimate_kpath_centrality(g, 22, KPathConfig(k=4, seed=7, fixed_samples=300))
+        assert est.samples == est.sample_budget == 300
+        assert est.lower_conf is None and est.upper_conf is None
 
     def test_same_seed_reproduces(self, shortcut):
         a = shortcut.id_of("b")
