@@ -329,6 +329,8 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
         raise ValueError("a benchmark config must be a JSON object")
     master_seed = _scalar(_setting(config, "seed"), int, "seed")
     reps = _scalar(_setting(config, "reps"), int, "reps")
+    if reps < 1:
+        raise ValueError(f"config 'reps' must be >= 1, got {reps}")
     want_time = bool(_setting(config, "timing"))
     want_exact = bool(_setting(config, "exact"))
     methods = _list_of(_setting(config, "methods"), str, "methods", "strings")
@@ -339,6 +341,8 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     grid = _section(config, "grid")
     tolerances = sorted(float(t) for t in _list_of(
         grid["tolerances"], (int, float), "grid.tolerances", "numbers"))
+    if not tolerances:
+        raise ValueError("config 'grid.tolerances' must not be empty")
     failure_prob = _scalar(grid["failure_prob"], float, "grid.failure_prob")
     kpath = _kpath_config(_section(config, "kpath"))
     if workers is None:
@@ -360,7 +364,7 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
             raise ValueError(f"duplicate dataset name {name!r}")
         datasets[name] = (g, _pick_vertices(g, policy, count, master_seed))
 
-    rows_per_vertex = len(methods) * len(tolerances) * max(0, reps)
+    rows_per_vertex = len(methods) * len(tolerances) * reps
     offsets: dict[str, int] = {}
     total = 0
     for name in sorted(datasets):

@@ -12,7 +12,14 @@ another threshold, and ``exact_coverage`` alone another guard.
 
 Both betweenness oracles share one counting BFS on flat lists; Brandes'
 sweep finds predecessors by distance but still adds in reversed BFS order,
-so its float scores equal a predecessor-list sweep's bit for bit.
+so its float scores equal a predecessor-list sweep's bit for bit. From
+``LEVEL_SWEEP_FLOOR`` vertices up, float Brandes runs instead as a
+level-synchronous sweep on ``scipy.sparse`` over batches of sources (Kepner
+& Gilbert, *Graph Algorithms in the Language of Linear Algebra*, 2011). It
+sums in another order, so its scores agree with the rational ones to a
+relative 5e-15 on the tested graphs rather than bit for bit. Batches whose
+BFS runs deeper than ``LEVEL_SWEEP_MAX_LEVELS`` levels, or whose path
+counts reach 2**53, go back to the per-source float sweep.
 """
 
 from __future__ import annotations
@@ -41,6 +48,12 @@ EXACT_ARITHMETIC_THRESHOLD = 1000
 COVERAGE_GUARD = 2000
 KPATH_VERTEX_GUARD = 15
 KPATH_LENGTH_GUARD = 5
+# float betweenness from this many vertices runs on sparse level sweeps
+LEVEL_SWEEP_FLOOR = 200
+# a batch whose BFS goes deeper runs in the per-source sweep instead
+LEVEL_SWEEP_MAX_LEVELS = 24
+# each n × batch float64 array of the level sweep stays within this size
+LEVEL_SWEEP_BATCH_BYTES = 4 << 20
 
 
 def _count_paths(adj, source: int, dist: list[int], sigma: list[int]) -> list[int]:
@@ -67,32 +80,22 @@ def _count_paths(adj, source: int, dist: list[int], sigma: list[int]) -> list[in
     return order
 
 
-def brandes_betweenness_all(
-    g: DirectedGraph, exact_threshold: int = EXACT_ARITHMETIC_THRESHOLD
-):
-    """Betweenness of every vertex by dependency accumulation.
-
-    One BFS plus one backward sweep per source; rational arithmetic up to
-    ``exact_threshold`` vertices, floats above. Normalized by the number of
-    ordered vertex pairs. Computing a single vertex costs the same as all
-    of them, so callers that need several scores should call this once.
+def _dependency_sweep(g: DirectedGraph, sources, scores: list) -> None:
+    """Add every source's dependencies into ``scores``, one BFS at a time.
 
     The sweep finds the predecessors of w among its in-neighbors u by
     ``dist[u] == dist[w] - 1`` instead of storing them. Each ``delta[u]``
     still receives its additions in reversed BFS order of w, with the same
-    coefficients, so float scores equal a predecessor-list sweep's bit for bit.
+    coefficients, so float scores equal a predecessor-list sweep's bit for
+    bit. The arithmetic is that of ``scores``: ``Fraction`` or float.
     """
     n = g.vertex_count
-    if n < 2:
-        raise GuardError("betweenness needs at least 2 vertices")
-    exact = n <= exact_threshold
-    zero = Fraction(0) if exact else 0.0
-    scores = [zero] * n
+    zero = scores[0] * 0
     rev = g._rev
     dist = [-1] * n
     sigma = [0] * n
     delta = [zero] * n
-    for s in range(n):
+    for s in sources:
         order = _count_paths(g._fwd, s, dist, sigma)
         # every reached vertex but the source, farthest first
         for w in order[:0:-1]:
@@ -105,6 +108,101 @@ def brandes_betweenness_all(
         for v in order:
             dist[v] = -1
             delta[v] = zero
+
+
+def _level_sweep(a, at, sources: range):
+    """Dependency sums of a batch of sources, one sparse product per level.
+
+    ``a`` is the adjacency matrix in float64 CSR and ``at`` its transpose.
+    Column j of the n × len(sources) arrays belongs to ``sources[j]``. The
+    forward pass grows every column's BFS level by level: ``at @ frontier``
+    sums the path counts of each vertex's in-neighbors on the last level.
+    The backward pass walks the levels from the deepest up and adds
+    ``sigma * (a @ coeff)`` into the level above, with
+    ``coeff = (1 + delta) / sigma`` on the level below.
+
+    Returns one float per vertex, the sum over the batch with each source's
+    own column left out, or None when the batch must run in Python: when a
+    BFS is deeper than ``LEVEL_SWEEP_MAX_LEVELS``, or a path count reaches
+    2**53, where float counts stop being exact (or overflows).
+    """
+    import numpy as np
+
+    n = a.shape[0]
+    cols = np.arange(len(sources))
+    sigma = np.zeros((n, len(sources)))
+    sigma[sources, cols] = 1.0
+    dist = np.full(sigma.shape, -1, dtype=np.int16)
+    dist[sources, cols] = 0
+    frontier = sigma
+    depth = 0
+    while True:
+        frontier = at @ frontier
+        frontier[dist >= 0] = 0.0
+        new = frontier > 0
+        if not new.any():
+            break
+        depth += 1
+        if depth > LEVEL_SWEEP_MAX_LEVELS:
+            return None
+        dist[new] = depth
+        sigma += frontier
+    if not sigma.max() < 2.0**53:
+        return None
+
+    delta = np.zeros(sigma.shape)
+    above = dist == depth
+    for d in range(depth, 0, -1):
+        level, above = above, dist == d - 1
+        coeff = np.zeros(sigma.shape)
+        coeff[level] = (1 + delta[level]) / sigma[level]
+        delta[above] += sigma[above] * (a @ coeff)[above]
+    delta[sources, cols] = 0.0
+    return delta.sum(axis=1)
+
+
+def brandes_betweenness_all(
+    g: DirectedGraph, exact_threshold: int = EXACT_ARITHMETIC_THRESHOLD
+):
+    """Betweenness of every vertex by dependency accumulation.
+
+    One BFS plus one backward sweep per source, normalized by the number of
+    ordered vertex pairs. Computing a single vertex costs the same as all of
+    them, so callers that need several scores should call this once.
+
+    Up to ``exact_threshold`` vertices the sweep runs in rational
+    arithmetic, one source at a time. Above it the scores are floats. Below
+    ``LEVEL_SWEEP_FLOOR`` vertices they come from the same per-source sweep,
+    which equals a predecessor-list sweep bit for bit. From the floor up,
+    sources go in batches through ``_level_sweep``, a level-synchronous
+    sweep on sparse matrix products. Its scores differ from the rational
+    ones by a relative 5e-15 at most on the tested graphs (float sums in
+    another order). A batch that the level sweep refuses (a BFS deeper than
+    ``LEVEL_SWEEP_MAX_LEVELS``, or a path count of 2**53 or more) runs in
+    the per-source float sweep, which raises on counts beyond float range.
+    If every batch is refused, the scores equal the per-source sweep's bit
+    for bit.
+    """
+    n = g.vertex_count
+    if n < 2:
+        raise GuardError("betweenness needs at least 2 vertices")
+    exact = n <= exact_threshold
+    scores = [Fraction(0) if exact else 0.0] * n
+    if exact or n < LEVEL_SWEEP_FLOOR:
+        _dependency_sweep(g, range(n), scores)
+    else:
+        import numpy as np
+
+        a = g.to_csr().astype(np.float64)
+        at = a.T.tocsr()
+        width = max(1, LEVEL_SWEEP_BATCH_BYTES // (8 * n))
+        for start in range(0, n, width):
+            sources = range(start, min(n, start + width))
+            sums = _level_sweep(a, at, sources)
+            if sums is None:
+                _dependency_sweep(g, sources, scores)
+            else:
+                scores = [s + x for s, x in zip(scores, sums.tolist())]
     denom = n * (n - 1)
     return [v / denom for v in scores]
 

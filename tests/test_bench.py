@@ -282,6 +282,8 @@ class TestScheduling:
             {"kpath": {"k": 0}},
             {"kpath": {"k": 3, "stopping": "fixed"}},
             {"kpath": {"k": 3, "count_sink_roots": False}},
+            {"reps": -1},
+            {"grid": {"tolerances": [], "failure_prob": 0.1}},
         ],
     )
     def test_bad_cell_config_fails_before_any_job(self, monkeypatch, overrides):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from pathcentral import exact as exact_module
 from pathcentral.errors import GuardError
 from pathcentral.exact import (
     brandes_betweenness,
@@ -26,6 +27,24 @@ REFERENCE_GRAPHS = (
     + [hub_digraph(60, seed=seed) for seed in (1, 2, 3)]
     + [layered_dag(6, 8, 0.4, seed=seed) for seed in (1, 2, 3)]
 )
+
+
+def complete_layers(layers: int, width: int) -> DirectedGraph:
+    """Layered DAG with every edge between consecutive layers: the sources
+    of layer 0 reach the last layer by width**(layers - 1) shortest paths."""
+    return DirectedGraph.from_edges(
+        [(i * width + a, (i + 1) * width + b)
+         for i in range(layers - 1) for a in range(width) for b in range(width)])
+
+
+def braided_cycle(n: int, braids: int) -> DirectedGraph:
+    """Directed n-cycle; every n // braids steps, two extra vertices give
+    v -> v + 2 three shortest paths, so floats round in the sweep."""
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    for i, v in enumerate(range(0, n, n // braids)[:braids]):
+        for x in (n + 2 * i, n + 2 * i + 1):
+            edges += [(v, x), (x, (v + 2) % n)]
+    return DirectedGraph.from_edges(edges)
 
 
 class TestBetweenness:
@@ -70,6 +89,41 @@ class TestBetweenness:
         floats = brandes_betweenness_all(g, exact_threshold=0)
         assert all(isinstance(f, float) for f in floats)
         assert floats == brandes_with_predecessor_lists(g, exact=False)
+
+    @pytest.mark.parametrize("g", [complete_layers(20, 10), braided_cycle(200, 20)],
+                             ids=["counts-beyond-2**53", "deeper-than-the-level-cap"])
+    def test_refused_level_sweep_falls_back_bit_for_bit(self, g):
+        # 10**19 paths reach the last layer, more than floats count exactly;
+        # the cycle's BFS runs close to 200 levels deep. Every batch of either graph
+        # goes to the per-source sweep, which matches the reference exactly.
+        assert g.vertex_count >= exact_module.LEVEL_SWEEP_FLOOR
+        floats = brandes_betweenness_all(g, exact_threshold=0)
+        assert floats == brandes_with_predecessor_lists(g, exact=False)
+
+    @pytest.mark.parametrize("g", [hub_digraph(210, seed=1),
+                                   layered_dag(8, 30, 0.15, seed=1)])
+    def test_level_sweep_matches_the_rational_scores(self, g):
+        n = g.vertex_count
+        assert exact_module.LEVEL_SWEEP_FLOOR <= n <= exact_module.EXACT_ARITHMETIC_THRESHOLD
+        a = g.to_csr().astype(float)
+        sums = exact_module._level_sweep(a, a.T.tocsr(), range(n))
+        assert sums is not None
+        for level, rational in zip(sums / (n * (n - 1)), brandes_betweenness_all(g)):
+            assert abs(level - float(rational)) <= 1e-12 * float(rational)
+
+    def test_level_sweep_on_a_large_graph(self, monkeypatch):
+        # above the rational threshold, batched; no batch may fall back
+        g = layered_dag(11, 100, 0.04, seed=2)
+        reference = brandes_with_predecessor_lists(g, exact=False)
+        monkeypatch.setattr(exact_module, "_dependency_sweep", None)
+        scores = brandes_betweenness_all(g)
+        assert g.vertex_count > exact_module.EXACT_ARITHMETIC_THRESHOLD
+        for level, ref in zip(scores, reference):
+            assert abs(level - ref) <= 1e-12 * ref
+
+        def top3(values):
+            return sorted(g.vertices(), key=lambda v: (-values[v], v))[:3]
+        assert top3(scores) == top3(reference)
 
 
 class TestRestrictedPairs:
