@@ -17,9 +17,10 @@ so its float scores equal a predecessor-list sweep's bit for bit. From
 level-synchronous sweep on ``scipy.sparse`` over batches of sources (Kepner
 & Gilbert, *Graph Algorithms in the Language of Linear Algebra*, 2011). It
 sums in another order, so its scores agree with the rational ones to a
-relative 5e-15 on the tested graphs rather than bit for bit. Batches whose
-BFS runs deeper than ``LEVEL_SWEEP_MAX_LEVELS`` levels, or whose path
-counts reach 2**53, go back to the per-source float sweep.
+relative 5e-15 on the tested graphs rather than bit for bit. From the
+first batch whose BFS runs deeper than ``LEVEL_SWEEP_MAX_LEVELS`` levels, or
+whose path counts reach 2**53, the sources go back to the per-source float
+sweep.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ KPATH_VERTEX_GUARD = 15
 KPATH_LENGTH_GUARD = 5
 # float betweenness from this many vertices runs on sparse level sweeps
 LEVEL_SWEEP_FLOOR = 200
-# a batch whose BFS goes deeper runs in the per-source sweep instead
+# from a batch whose BFS goes deeper, sources run in the per-source sweep
 LEVEL_SWEEP_MAX_LEVELS = 24
 # each n × batch float64 array of the level sweep stays within this size
 LEVEL_SWEEP_BATCH_BYTES = 4 << 20
@@ -123,8 +124,8 @@ def _level_sweep(a, at, sources: range):
 
     Returns one float per vertex, the sum over the batch with each source's
     own column left out, or None when the batch must run in Python: when a
-    BFS is deeper than ``LEVEL_SWEEP_MAX_LEVELS``, or a path count reaches
-    2**53, where float counts stop being exact (or overflows).
+    BFS is deeper than ``LEVEL_SWEEP_MAX_LEVELS``, or when a path count
+    reaches 2**53, from where float counts are no longer exact.
     """
     import numpy as np
 
@@ -177,11 +178,11 @@ def brandes_betweenness_all(
     sources go in batches through ``_level_sweep``, a level-synchronous
     sweep on sparse matrix products. Its scores differ from the rational
     ones by a relative 5e-15 at most on the tested graphs (float sums in
-    another order). A batch that the level sweep refuses (a BFS deeper than
-    ``LEVEL_SWEEP_MAX_LEVELS``, or a path count of 2**53 or more) runs in
-    the per-source float sweep, which raises on counts beyond float range.
-    If every batch is refused, the scores equal the per-source sweep's bit
-    for bit.
+    another order). From the first batch that the level sweep refuses (a
+    BFS deeper than ``LEVEL_SWEEP_MAX_LEVELS``, or a path count of 2**53 or
+    more) the remaining sources run in the per-source float sweep, which
+    raises on counts beyond float range. If the first batch is refused, the
+    scores equal the per-source sweep's bit for bit.
     """
     n = g.vertex_count
     if n < 2:
@@ -197,12 +198,13 @@ def brandes_betweenness_all(
         at = a.T.tocsr()
         width = max(1, LEVEL_SWEEP_BATCH_BYTES // (8 * n))
         for start in range(0, n, width):
-            sources = range(start, min(n, start + width))
-            sums = _level_sweep(a, at, sources)
+            sums = _level_sweep(a, at, range(start, min(n, start + width)))
             if sums is None:
-                _dependency_sweep(g, sources, scores)
-            else:
-                scores = [s + x for s, x in zip(scores, sums.tolist())]
+                # a graph with one deep or path-rich batch tends to have
+                # more, so the rest goes per source without another try
+                _dependency_sweep(g, range(start, n), scores)
+                break
+            scores = [s + x for s, x in zip(scores, sums.tolist())]
     denom = n * (n - 1)
     return [v / denom for v in scores]
 
