@@ -39,7 +39,8 @@ def complete_layers(layers: int, width: int) -> DirectedGraph:
 
 def braided_cycle(n: int, braids: int) -> DirectedGraph:
     """Directed n-cycle; every n // braids steps, two extra vertices give
-    v -> v + 2 three shortest paths, so floats round in the sweep."""
+    v -> v + 2 three shortest paths, so thirds make the float sums round
+    and only the per-source sweep's order matches the reference."""
     edges = [(v, (v + 1) % n) for v in range(n)]
     for i, v in enumerate(range(0, n, n // braids)[:braids]):
         for x in (n + 2 * i, n + 2 * i + 1):
@@ -94,8 +95,9 @@ class TestBetweenness:
                              ids=["counts-beyond-2**53", "deeper-than-the-level-cap"])
     def test_refused_level_sweep_falls_back_bit_for_bit(self, g):
         # 10**19 paths reach the last layer, more than floats count exactly;
-        # the cycle's BFS runs close to 200 levels deep. Every batch of either graph
-        # goes to the per-source sweep, which matches the reference exactly.
+        # the cycle's BFS runs close to 200 levels deep. Either graph fits in
+        # one batch, so the whole call runs per source and must match the
+        # reference exactly.
         assert g.vertex_count >= exact_module.LEVEL_SWEEP_FLOOR
         floats = brandes_betweenness_all(g, exact_threshold=0)
         assert floats == brandes_with_predecessor_lists(g, exact=False)
