@@ -17,6 +17,7 @@ rule and builds the ``Estimate``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -25,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "EstimatorConfig",
+    "check_count",
     "check_accuracy",
     "Estimate",
     "CompensatedSum",
@@ -36,14 +38,20 @@ __all__ = [
 ]
 
 
+def check_count(name: str, value) -> None:
+    """Reject a count that is not an integer (a bool is not) or is below 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def check_accuracy(tolerance: float, failure_prob: float, fixed_samples: int | None) -> None:
     """Reject an accuracy target or run length that no estimator can honour."""
     if not (0.0 < tolerance < 1.0):
         raise ValueError("tolerance must be in (0, 1)")
     if not (0.0 < failure_prob < 1.0):
         raise ValueError("failure_prob must be in (0, 1)")
-    if fixed_samples is not None and fixed_samples < 1:
-        raise ValueError("fixed_samples must be >= 1")
+    if fixed_samples is not None:
+        check_count("fixed_samples", fixed_samples)
 
 
 @dataclass(frozen=True)
@@ -149,35 +157,26 @@ def compute_sample_budget(
     return math.ceil(raw)
 
 
-def stopping_terms(
-    mean: float,
-    samples: int,
-    budget: int,
-    fraction: float,
-    risk_lower: float,
-    risk_upper: float,
-) -> tuple[float, float]:
+def stopping_terms(mean: float, samples: int, mass: float, risk: float) -> tuple[float, float]:
     """Concentration gap terms around the running mean after ``samples`` draws.
 
     The first term bounds how far the mean can sit above the true value,
-    the second how far below, each with its own risk share. Both shrink as
-    samples accumulate; the lower term is additionally damped through the
-    ``budget * fraction`` product, which upper-bounds the total variance
-    mass of the stream.
+    the second how far below, each at probability ``risk`` of failing. Both
+    shrink as samples accumulate. ``mass`` upper-bounds the total variance
+    mass of the stream: the estimators pass their sample budget times their
+    contribution bound. It damps the lower term and widens the upper one.
     """
     if samples < 1:
         raise ValueError("gap terms need at least one sample")
-    mass = budget * fraction
     ratio = mass / samples
-    log_lo = math.log(1.0 / risk_lower)
-    log_hi = math.log(1.0 / risk_upper)
+    log_risk = math.log(1.0 / risk)
     inner_lo = 1.0 / 3.0 - ratio
     inner_hi = 1.0 / 3.0 + ratio
-    a = (log_lo / samples) * (
-        inner_lo + math.sqrt(inner_lo * inner_lo + 2.0 * mean * mass / log_lo)
+    a = (log_risk / samples) * (
+        inner_lo + math.sqrt(inner_lo * inner_lo + 2.0 * mean * mass / log_risk)
     )
-    b = (log_hi / samples) * (
-        inner_hi + math.sqrt(inner_hi * inner_hi + 2.0 * mean * mass / log_hi)
+    b = (log_risk / samples) * (
+        inner_hi + math.sqrt(inner_hi * inner_hi + 2.0 * mean * mass / log_risk)
     )
     return a, b
 
@@ -272,8 +271,8 @@ def run_sampling_loop(
     float evaluation as ever, so the stop, the sample count and every
     reported field are the same as with a check before every draw. Only the upper
     term is used, since the lower term can rise with t (it has a hump
-    below the safe region); with the same risk for both terms it never
-    exceeds the upper one anyway.
+    below the safe region); with one risk for both terms it never exceeds
+    the upper one anyway.
     """
     acc = CompensatedSum()
     tau = 0

@@ -136,6 +136,20 @@ def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], count: int,
     raise ValueError(f"unknown vertex policy {kind!r}")
 
 
+def _check_keys(config: dict[str, Any]) -> None:
+    """Refuse a key that no setting reads, at the top level or in a section.
+    Besides the keys of ``DEFAULT_CONFIG``, a section may hold the roots of
+    the ``labels`` policy and the two k-path keys that older configs send."""
+    more = {"vertices": {"labels"}, "kpath": {"stopping", "count_sink_roots"}}
+    for key, value in config.items():
+        if key not in DEFAULT_CONFIG:
+            raise ValueError(f"config {key!r} is not a known key")
+        if isinstance(DEFAULT_CONFIG[key], dict) and isinstance(value, dict):
+            unknown = sorted(value.keys() - DEFAULT_CONFIG[key].keys() - more.get(key, set()))
+            if unknown:
+                raise ValueError(f"config '{key}.{unknown[0]}' is not a known key")
+
+
 def _setting(config: dict[str, Any], key: str) -> Any:
     return config.get(key, DEFAULT_CONFIG[key])
 
@@ -155,11 +169,11 @@ def _list_of(value: Any, kind, key: str, what: str) -> list:
 
 
 def _scalar(value: Any, kind, key: str):
-    """``value`` as ``kind``; it must be an int or, for ``kind=float``, any
-    real number. Booleans are neither."""
-    accepted = (int, float) if kind is float else int
-    if not isinstance(value, accepted) or isinstance(value, bool):
-        what = "a number" if kind is float else "an integer"
+    """``value`` as ``kind``: an int, any real number for ``kind=float``, true
+    or false for ``kind=bool``. A bool passes only as ``kind=bool``."""
+    accepted = {bool: bool, int: int, float: (int, float)}[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        what = {bool: "true or false", int: "an integer", float: "a number"}[kind]
         raise ValueError(f"config {key!r} must be {what}, got {value!r}")
     return kind(value)
 
@@ -314,9 +328,10 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     average and maximum error and time over the repetitions. Error columns
     appear when the matching exact oracle is feasible for the dataset.
 
-    Every cell's estimator config is built, and so checked, before any job
-    starts. A dataset whose exact betweenness is wanted, or whose vertices
-    are its top-betweenness ones, gets one ``brandes_betweenness_all`` job.
+    A key that no setting reads is refused first, and every cell's
+    estimator config is built, and so checked, before any job starts. A
+    dataset whose exact betweenness is wanted, or whose vertices are its
+    top-betweenness ones, gets one ``brandes_betweenness_all`` job.
     As each of those finishes, in completion order, the dataset's vertices
     are picked, and its oracle job and its rows are submitted; the caller
     then computes each vertex's reachability fractions while the jobs run.
@@ -327,12 +342,13 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     """
     if not isinstance(config, dict):
         raise ValueError("a benchmark config must be a JSON object")
+    _check_keys(config)
     master_seed = _scalar(_setting(config, "seed"), int, "seed")
     reps = _scalar(_setting(config, "reps"), int, "reps")
     if reps < 1:
         raise ValueError(f"config 'reps' must be >= 1, got {reps}")
-    want_time = bool(_setting(config, "timing"))
-    want_exact = bool(_setting(config, "exact"))
+    want_time = _scalar(_setting(config, "timing"), bool, "timing")
+    want_exact = _scalar(_setting(config, "exact"), bool, "exact")
     methods = _list_of(_setting(config, "methods"), str, "methods", "strings")
     for m in methods:
         if m not in METHODS:
@@ -347,6 +363,8 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     kpath = _kpath_config(_section(config, "kpath"))
     if workers is None:
         workers = _scalar(_setting(config, "workers"), int, "workers")
+    if workers < 1:
+        raise ValueError(f"config 'workers' must be >= 1, got {workers}")
     cell_configs = {(method, tolerance): _cell_config(method, tolerance, failure_prob, kpath)
                     for method in methods for tolerance in tolerances}
 

@@ -14,6 +14,7 @@ savings over unrestricted sampling come from.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from .adaptive import (
     Estimate,
@@ -77,10 +78,8 @@ def _pair_loop(
         budget = cfg.fixed_samples
         gap_terms = None
     else:
-        risk = gap_term_risk(cfg.failure_prob)
-
-        def gap_terms(mean: float, tau: int) -> tuple[float, float]:
-            return stopping_terms(mean, tau, budget, bound, risk, risk)
+        gap_terms = partial(stopping_terms, mass=budget * bound,
+                            risk=gap_term_risk(cfg.failure_prob))
 
     n_src = len(sources)
     n_tgt = len(targets)

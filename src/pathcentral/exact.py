@@ -7,20 +7,20 @@ coverage, and exhaustive simple-path enumeration for k-path scores.
 
 Everything up to ``EXACT_ARITHMETIC_THRESHOLD`` vertices is computed in exact
 rational arithmetic so equality tests in higher layers are meaningful; above
-it the same code paths run in floats. ``brandes_betweenness_all`` alone takes
-another threshold, and ``exact_coverage`` alone another guard.
+it the same code paths run in floats. ``brandes_betweenness_all`` alone lets
+its caller move that threshold. The coverage and k-path oracles refuse
+graphs above fixed caps (``COVERAGE_GUARD``, ``KPATH_*_GUARD``).
 
 Both betweenness oracles share one counting BFS on flat lists; Brandes'
-sweep finds predecessors by distance but still adds in reversed BFS order,
-so its float scores equal a predecessor-list sweep's bit for bit. From
-``LEVEL_SWEEP_FLOOR`` vertices up, float Brandes runs instead as a
-level-synchronous sweep on ``scipy.sparse`` over batches of sources (Kepner
-& Gilbert, *Graph Algorithms in the Language of Linear Algebra*, 2011). It
-sums in another order, so its scores agree with the rational ones to a
-relative 5e-15 on the tested graphs rather than bit for bit. From the
-first batch whose BFS runs deeper than ``LEVEL_SWEEP_MAX_LEVELS`` levels, or
-whose path counts reach 2**53, the sources go back to the per-source float
-sweep.
+per-source sweep finds predecessors by distance but still adds in reversed
+BFS order, so its float scores equal a predecessor-list sweep's bit for
+bit. Float Brandes starts instead as a level-synchronous sweep on
+``scipy.sparse`` over batches of sources (Kepner & Gilbert, *Graph
+Algorithms in the Language of Linear Algebra*, 2011). It sums in another
+order, so its scores agree with the rational ones to a relative 5e-15 on
+the tested graphs rather than bit for bit. From the first batch whose BFS
+runs deeper than ``LEVEL_SWEEP_MAX_LEVELS`` levels, or whose path counts
+reach 2**53, the sources go back to the per-source float sweep.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ EXACT_ARITHMETIC_THRESHOLD = 1000
 COVERAGE_GUARD = 2000
 KPATH_VERTEX_GUARD = 15
 KPATH_LENGTH_GUARD = 5
-# float betweenness from this many vertices runs on sparse level sweeps
-LEVEL_SWEEP_FLOOR = 200
 # from a batch whose BFS goes deeper, sources run in the per-source sweep
 LEVEL_SWEEP_MAX_LEVELS = 24
 # each n × batch float64 array of the level sweep stays within this size
@@ -172,9 +170,7 @@ def brandes_betweenness_all(
     them, so callers that need several scores should call this once.
 
     Up to ``exact_threshold`` vertices the sweep runs in rational
-    arithmetic, one source at a time. Above it the scores are floats. Below
-    ``LEVEL_SWEEP_FLOOR`` vertices they come from the same per-source sweep,
-    which equals a predecessor-list sweep bit for bit. From the floor up,
+    arithmetic, one source at a time. Above it the scores are floats, and
     sources go in batches through ``_level_sweep``, a level-synchronous
     sweep on sparse matrix products. Its scores differ from the rational
     ones by a relative 5e-15 at most on the tested graphs (float sums in
@@ -182,14 +178,14 @@ def brandes_betweenness_all(
     BFS deeper than ``LEVEL_SWEEP_MAX_LEVELS``, or a path count of 2**53 or
     more) the remaining sources run in the per-source float sweep, which
     raises on counts beyond float range. If the first batch is refused, the
-    scores equal the per-source sweep's bit for bit.
+    scores equal a predecessor-list sweep's bit for bit.
     """
     n = g.vertex_count
     if n < 2:
         raise GuardError("betweenness needs at least 2 vertices")
     exact = n <= exact_threshold
     scores = [Fraction(0) if exact else 0.0] * n
-    if exact or n < LEVEL_SWEEP_FLOOR:
+    if exact:
         _dependency_sweep(g, range(n), scores)
     else:
         import numpy as np
@@ -269,12 +265,13 @@ def all_pairs_distances(g: DirectedGraph):
     return csgraph.shortest_path(g.to_csr(), method="auto", unweighted=True)
 
 
-def exact_coverage(g: DirectedGraph, root: int, guard: int = COVERAGE_GUARD, dist=None):
+def exact_coverage(g: DirectedGraph, root: int, dist=None):
     """Fraction of ordered non-root pairs with the root on a shortest path.
 
     A pair (s, t) counts iff d(s, root) + d(root, t) equals a finite
     d(s, t). ``dist`` is ``all_pairs_distances(g)``, computed here unless a
-    caller asking about several roots passes it in.
+    caller asking about several roots passes it in. Guarded to
+    ``COVERAGE_GUARD`` vertices, the matrix being n × n.
     """
     import numpy as np
 
@@ -282,8 +279,8 @@ def exact_coverage(g: DirectedGraph, root: int, guard: int = COVERAGE_GUARD, dis
     n = g.vertex_count
     if n < 2:
         raise GuardError("coverage needs at least 2 vertices")
-    if n > guard:
-        raise GuardError(f"exact coverage is capped at {guard} vertices, got {n}")
+    if n > COVERAGE_GUARD:
+        raise GuardError(f"exact coverage is capped at {COVERAGE_GUARD} vertices, got {n}")
 
     if dist is None:
         dist = all_pairs_distances(g)

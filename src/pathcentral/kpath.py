@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import InitVar, dataclass
-from fractions import Fraction
+from functools import partial
 
 from .adaptive import (
     Estimate,
     check_accuracy,
+    check_count,
     degenerate_estimate,
     gap_term_risk,
     make_rng,
@@ -76,8 +77,7 @@ class KPathConfig:
     fixed_samples: int | None = None
 
     def __post_init__(self, stopping: str | None):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_count("k", self.k)
         check_accuracy(self.tolerance, self.failure_prob, self.fixed_samples)
         if self.weight not in ("original", "restricted"):
             raise ValueError(f"weight must be 'original' or 'restricted', got {self.weight!r}")
@@ -90,16 +90,16 @@ class KPathConfig:
 
 @dataclass(frozen=True)
 class WalkSample:
-    """One drawn walk with its exact probability and weight bookkeeping.
+    """One drawn walk with its draw probability and weight as integers.
 
     ``probability_denominator`` is the product of candidate-set sizes along
-    the walk (the draw probability is its reciprocal); ``weight_denominator``
-    the product of the configured weight denominators. The former never
-    exceeds the latter because the candidate sets are subsets of the weight
-    sets. ``completed`` is False when the walk stopped before the target
-    length: either the candidate set emptied, or the walk had not touched
-    the root and the root was farther than the steps left (such a walk
-    could never score).
+    the walk, ``weight_denominator`` the product of the configured weight
+    denominators; the draw probability and the weight are their
+    reciprocals. The former never exceeds the latter because the candidate
+    sets are subsets of the weight sets. ``completed`` is False when the
+    walk stopped before the target length: either the candidate set
+    emptied, or the walk had not touched the root and the root was farther
+    than the steps left (such a walk could never score).
     """
 
     vertices: tuple[int, ...]
@@ -108,14 +108,6 @@ class WalkSample:
     contains_mark: bool
     probability_denominator: int
     weight_denominator: int
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(1, self.probability_denominator)
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, self.weight_denominator)
 
 
 class _WalkSpace:
@@ -260,10 +252,8 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
         gap_terms = None
     else:
         budget = compute_walk_budget(cfg.tolerance, cfg.failure_prob / 2.0, bound)
-        risk = gap_term_risk(cfg.failure_prob)
-
-        def gap_terms(mean: float, tau: int) -> tuple[float, float]:
-            return stopping_terms(mean, tau, budget, bound, risk, risk)
+        gap_terms = partial(stopping_terms, mass=budget * bound,
+                            risk=gap_term_risk(cfg.failure_prob))
 
     n = g.vertex_count
     n_src = len(sources)

@@ -18,12 +18,12 @@ sum over meeting v of (paths s to v) * (paths v to t).
 
 Both searches keep their labels in one reusable scratch (``_SearchSpace``):
 an epoch-stamped side mark per vertex, plus flat distance, path-count and
-first-parent lists that the counting search allocates on first use. The
-distance-only search needs no counts, so it exits at the first contact. The
-counting search finishes the contact level, but only scans it for contact
-edges, and builds predecessor tuples for the structure's vertices alone;
-its result is the same, tuple order included, as that of a search that
-keeps a predecessor list for every labelled vertex. The betweenness
+first-parent lists for the counting search. The distance-only search
+needs no counts, so it exits at the first contact. The counting search
+finishes the contact level, but only scans it for contact edges, and
+builds predecessor tuples for the structure's vertices alone; its result
+is the same, tuple order included, as that of a search that keeps a
+predecessor list for every labelled vertex. The betweenness
 estimator runs the distance search as a gate before the builder, on the
 same scratch: the root can only be on a drawn path when it is on some
 shortest path.
@@ -85,19 +85,18 @@ class _SearchSpace:
     by the forward side, by the backward side, or (stale stamp) by neither.
     Starting a search is one increment instead of clearing two dicts, and a
     run that draws many pairs allocates the marks once. The counting search
-    also keeps a distance, a path count and a first parent per vertex; those
-    lists are allocated by the first counting search, so a run that only
-    asks for distances never pays for them. The counting search writes all
-    three when it labels a vertex and reads them only for vertices carrying
-    its own stamps, so stale entries are never read.
+    also keeps a distance, a path count and a first parent per vertex. It
+    writes all three when it labels a vertex and reads them only for
+    vertices carrying its own stamps, so stale entries are never read.
     """
 
     __slots__ = ("mark", "epoch", "dist", "sigma", "parent")
 
     def __init__(self, g: DirectedGraph):
-        self.mark = [0] * g.vertex_count
+        n = g.vertex_count
+        self.mark = [0] * n
         self.epoch = 0
-        self.dist = self.sigma = self.parent = None
+        self.dist, self.sigma, self.parent = [0] * n, [0] * n, [0] * n
 
 
 def build_shortest_path_dag(
@@ -127,9 +126,6 @@ def build_shortest_path_dag(
         raise ValueError("source and target must differ")
     if space is None:
         space = _SearchSpace(g)
-    if space.dist is None:
-        n = len(space.mark)
-        space.dist, space.sigma, space.parent = [0] * n, [0] * n, [0] * n
     fwd_mark = space.epoch + 1
     bwd_mark = space.epoch + 2
     space.epoch = bwd_mark

@@ -45,8 +45,7 @@ class TestStoppingTerms:
     def test_frozen_reference_point(self):
         args = oracles.GAP_REFERENCE_ARGS
         a, b = stopping_terms(
-            args["mean"], args["samples"], args["budget"], args["fraction"],
-            args["risk"], args["risk"],
+            args["mean"], args["samples"], args["budget"] * args["fraction"], args["risk"],
         )
         assert abs(a - oracles.GAP_LOWER_REFERENCE) < 1e-6
         assert abs(b - oracles.GAP_UPPER_REFERENCE) < 1e-6
@@ -54,25 +53,19 @@ class TestStoppingTerms:
     def test_zero_fraction_collapses(self):
         for tau in (1, 7, 100, 5000):
             for risk in (0.025, 0.2):
-                a, b = stopping_terms(0.3, tau, 10**6, 0.0, risk, risk)
+                a, b = stopping_terms(0.3, tau, 0.0, risk)
                 closed_form = (2.0 / (3.0 * tau)) * math.log(1.0 / risk)
                 assert math.isclose(a, closed_form, rel_tol=1e-12)
                 assert math.isclose(b, closed_form, rel_tol=1e-12)
-
-    def test_distinct_risks_split(self):
-        a_tight, b_loose = stopping_terms(0.1, 50, 1000, 0.2, 0.001, 0.2)
-        a_loose, b_tight = stopping_terms(0.1, 50, 1000, 0.2, 0.2, 0.001)
-        assert a_tight > a_loose
-        assert b_loose < b_tight
 
     def test_upper_term_shrinks_from_the_start(self):
         # the upper term is monotone in the sample count everywhere
         for mass in (0.5, 10, 400):
             tau = 1
-            _, prev = stopping_terms(0.05, tau, 1000, mass / 1000, 0.025, 0.025)
+            _, prev = stopping_terms(0.05, tau, mass, 0.025)
             for _ in range(14):
                 tau *= 2
-                _, cur = stopping_terms(0.05, tau, 1000, mass / 1000, 0.025, 0.025)
+                _, cur = stopping_terms(0.05, tau, mass, 0.025)
                 assert cur <= prev
                 prev = cur
 
@@ -83,24 +76,24 @@ class TestStoppingTerms:
             mass = budget * fraction
             tau = max(1, math.ceil(6 * mass))
             for mean in (0.0, 0.01, 0.4):
-                prev, _ = stopping_terms(mean, tau, budget, fraction, 0.025, 0.025)
+                prev, _ = stopping_terms(mean, tau, mass, 0.025)
                 t = tau
                 for _ in range(12):
                     t *= 2
-                    cur, _ = stopping_terms(mean, t, budget, fraction, 0.025, 0.025)
+                    cur, _ = stopping_terms(mean, t, mass, 0.025)
                     assert cur <= prev
                     prev = cur
 
     def test_lower_term_hump_exists_below_the_safe_region(self):
         # documents why the doubling check above cannot start at one sample:
         # with few samples relative to the mass, the lower term can grow
-        a_small, _ = stopping_terms(0.01, 50, 10**5, 1e-3, 0.025, 0.025)
-        a_big, _ = stopping_terms(0.01, 100, 10**5, 1e-3, 0.025, 0.025)
+        a_small, _ = stopping_terms(0.01, 50, 100.0, 0.025)
+        a_big, _ = stopping_terms(0.01, 100, 100.0, 0.025)
         assert a_small < a_big
 
     def test_needs_a_sample(self):
         with pytest.raises(ValueError):
-            stopping_terms(0.0, 0, 100, 0.1, 0.025, 0.025)
+            stopping_terms(0.0, 0, 10.0, 0.025)
 
 
 class TestConfig:
@@ -116,6 +109,8 @@ class TestConfig:
             dict(tolerance=0.05, failure_prob=1.5),
             dict(tolerance=0.05, failure_prob=0.1, mode="turbo"),
             dict(tolerance=0.05, failure_prob=0.1, fixed_samples=0),
+            dict(tolerance=0.05, failure_prob=0.1, fixed_samples=2.5),
+            dict(tolerance=0.05, failure_prob=0.1, fixed_samples=True),
         ],
     )
     def test_validation(self, kwargs):
@@ -237,7 +232,7 @@ class TestSkippedChecks:
         risk = gap_term_risk(failure_prob)
 
         def gaps(mean, t):
-            return stopping_terms(mean, t, budget, bound, risk, risk)
+            return stopping_terms(mean, t, budget * bound, risk)
 
         def passes(s, t):
             a, b = gaps(s / t, t)
@@ -258,7 +253,7 @@ class TestSkippedChecks:
         budget, bound, risk = 5000, 0.01, gap_term_risk(0.1)
 
         def gaps(mean, t):
-            return stopping_terms(mean, t, budget, bound, risk, risk)
+            return stopping_terms(mean, t, budget * bound, risk)
 
         first = next(t for t in range(1, budget) if max(gaps(bound, t)) <= 0.02)
         a, b = gaps(bound, 1)
@@ -272,7 +267,7 @@ class TestSkippedChecks:
 
         def gaps(mean, tau):
             calls.append(tau)
-            return stopping_terms(mean, tau, 10**5, 0.1, 0.025, 0.025)
+            return stopping_terms(mean, tau, 1e4, 0.025)
 
         est = run_sampling_loop(lambda: 0.1 if next(draws) % 3 == 0 else 0.0,
                                 10**5, 0.01, gaps, 0.1, 0, time.perf_counter())

@@ -284,6 +284,12 @@ class TestScheduling:
             {"kpath": {"k": 3, "count_sink_roots": False}},
             {"reps": -1},
             {"grid": {"tolerances": [], "failure_prob": 0.1}},
+            {"timing": "false"},
+            {"exact": 1},
+            {"grid": {"tolerance": [0.05], "failure_prob": 0.1}},
+            {"worker": 1},
+            {"vertices": {"policy": "top-betweenness", "cnt": 2}},
+            {"kpath": {"k": 3, "weights": "original"}},
         ],
     )
     def test_bad_cell_config_fails_before_any_job(self, monkeypatch, overrides):

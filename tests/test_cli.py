@@ -297,6 +297,10 @@ class TestStdinAndErrors:
             ({"vertices": {"count": 2.5}, "datasets": []}, "vertices.count"),
             ({"kpath": {"k": "5"}, "datasets": []}, "kpath.k"),
             ({"grid": {"failure_prob": "0.1"}, "datasets": []}, "grid.failure_prob"),
+            ({"timing": "false", "datasets": []}, "timing"),
+            ({"exact": 0, "datasets": []}, "exact"),
+            ({"workers": 0, "datasets": []}, "workers"),
+            ({"workers": -1, "datasets": []}, "workers"),
         ],
     )
     def test_bench_section_of_the_wrong_type(self, capsys, tmp_path, config, section):
@@ -354,6 +358,25 @@ class TestStdinAndErrors:
         assert code == 2
         assert f"config '{key}' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"worker": 2}, "worker"),
+            ({"grid": {"tolerance": [0.05]}}, "grid.tolerance"),
+            ({"vertices": {"policy": "random", "cnt": 2}}, "vertices.cnt"),
+            ({"kpath": {"K": 3}}, "kpath.K"),
+        ],
+    )
+    def test_bench_unknown_key(self, capsys, tmp_path, config, key):
+        # the dataset file does not exist, so loading it first would fail
+        # with another message
+        config["datasets"] = [{"name": "t", "path": str(tmp_path / "absent.edges")}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["bench", "--config", str(path)])
+        assert code == 2
+        assert f"config '{key}' is not a known key" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_end_to_end(self, capsys, tmp_path):
@@ -379,3 +402,27 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines()[0].startswith("dataset")
+
+    def test_workers_flag(self, capsys, tmp_path):
+        config = {
+            "seed": 4,
+            "reps": 2,
+            "workers": 1,
+            "timing": False,
+            "datasets": [
+                {"name": "t", "generator": "random",
+                 "params": {"n": 15, "edge_prob": 0.2, "seed": 2}},
+            ],
+            "vertices": {"policy": "top-betweenness", "count": 2},
+            "methods": ["betweenness", "coverage"],
+            "grid": {"tolerances": [0.1], "failure_prob": 0.1},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        alone = run_json(capsys, ["bench", "--config", str(path)])
+        pooled = run_json(capsys, ["bench", "--config", str(path), "--workers", "2"])
+        assert len(alone["rows"]) == 8
+        assert pooled["rows"] == alone["rows"]
+        code = main(["bench", "--config", str(path), "--workers", "0"])
+        assert code == 2
+        assert "config 'workers' must be >= 1, got 0" in capsys.readouterr().err

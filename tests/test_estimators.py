@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import pathcentral.betweenness
+import pathcentral.kpath
 from pathcentral.adaptive import EstimatorConfig
 from pathcentral.betweenness import estimate_betweenness, estimate_coverage
 from pathcentral.exact import brandes_betweenness, exact_coverage
@@ -107,15 +108,15 @@ class TestBetweennessEstimates:
 
 
 class TestBaselineMode:
-    def test_baseline_scales_by_the_pair_fraction(self, three_cycle):
+    @pytest.mark.parametrize("estimate", [estimate_betweenness, estimate_coverage],
+                             ids=["betweenness", "coverage"])
+    def test_baseline_scales_by_the_pair_fraction(self, three_cycle, estimate):
         # on a strongly connected graph both modes draw the same endpoint
         # sequence; contributions differ by exactly the pair fraction
         a = three_cycle.id_of("a")
         alpha = float(compute_reachability(three_cycle, a).pair_fraction)
-        restricted = estimate_betweenness(three_cycle, a, cfg(seed=77, fixed_samples=4000))
-        baseline = estimate_betweenness(
-            three_cycle, a, cfg(seed=77, fixed_samples=4000, mode="baseline")
-        )
+        restricted = estimate(three_cycle, a, cfg(seed=77, fixed_samples=4000))
+        baseline = estimate(three_cycle, a, cfg(seed=77, fixed_samples=4000, mode="baseline"))
         assert baseline.hits == restricted.hits
         assert math.isclose(baseline.value * alpha, restricted.value, rel_tol=1e-9)
         assert baseline.contribution_bound == 1.0
@@ -210,3 +211,30 @@ def test_seeded_outputs_are_pinned(name):
     est = _seeded_run(name)
     got = (est.value, est.samples, est.hits, est.stop_reason, est.lower_conf, est.upper_conf)
     assert got == SEEDED_OUTPUTS[name]
+
+
+@pytest.mark.parametrize(
+    "module, estimate, config",
+    [
+        (pathcentral.betweenness, estimate_betweenness, cfg()),
+        (pathcentral.betweenness, estimate_coverage, cfg()),
+        (pathcentral.kpath, estimate_kpath_centrality, KPathConfig(k=2, seed=99)),
+    ],
+    ids=["betweenness", "coverage", "kpath"],
+)
+def test_gap_terms_are_looked_up_in_the_estimator_module(
+    monkeypatch, diamond, module, estimate, config
+):
+    # a span tracer times stopping_terms by patching the name each
+    # estimator module imports, so adaptive runs must call it through there
+    real = module.stopping_terms
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "stopping_terms", counting)
+    est = estimate(diamond, diamond.id_of("a"), config)
+    assert est.lower_conf is not None
+    assert len(calls) > 0

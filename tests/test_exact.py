@@ -84,12 +84,19 @@ class TestBetweenness:
 
     @pytest.mark.parametrize("g", REFERENCE_GRAPHS)
     def test_equals_predecessor_list_reference(self, g):
-        # exact equality in both modes: the flat-array sweep must add into
-        # each dependency in the reference's order, not merely come close
+        # exact equality in both arithmetics: the flat-array sweep must add
+        # into each dependency in the reference's order, not merely come close
         assert brandes_betweenness_all(g) == brandes_with_predecessor_lists(g, exact=True)
+        n = g.vertex_count
+        sums = [0.0] * n
+        exact_module._dependency_sweep(g, range(n), sums)
+        reference = brandes_with_predecessor_lists(g, exact=False)
+        assert [v / (n * (n - 1)) for v in sums] == reference
+        # the public float call sums batches of sources in another order
         floats = brandes_betweenness_all(g, exact_threshold=0)
         assert all(isinstance(f, float) for f in floats)
-        assert floats == brandes_with_predecessor_lists(g, exact=False)
+        for level, ref in zip(floats, reference):
+            assert abs(level - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("g", [complete_layers(20, 10), braided_cycle(200, 20)],
                              ids=["counts-beyond-2**53", "deeper-than-the-level-cap"])
@@ -98,7 +105,6 @@ class TestBetweenness:
         # the cycle's BFS runs close to 200 levels deep. Either graph fits in
         # one batch, so the whole call runs per source and must match the
         # reference exactly.
-        assert g.vertex_count >= exact_module.LEVEL_SWEEP_FLOOR
         floats = brandes_betweenness_all(g, exact_threshold=0)
         assert floats == brandes_with_predecessor_lists(g, exact=False)
 
@@ -106,7 +112,7 @@ class TestBetweenness:
                                    layered_dag(8, 30, 0.15, seed=1)])
     def test_level_sweep_matches_the_rational_scores(self, g):
         n = g.vertex_count
-        assert exact_module.LEVEL_SWEEP_FLOOR <= n <= exact_module.EXACT_ARITHMETIC_THRESHOLD
+        assert n <= exact_module.EXACT_ARITHMETIC_THRESHOLD
         a = g.to_csr().astype(float)
         sums = exact_module._level_sweep(a, a.T.tocsr(), range(n))
         assert sums is not None
@@ -185,9 +191,9 @@ class TestCoverage:
         single = DirectedGraph.from_edges([], vertex_count=1)
         with pytest.raises(GuardError):
             exact_coverage(single, 0, dist=all_pairs_distances(single))
-        small = random_digraph(12, 0.3, seed=5)
+        big = DirectedGraph.from_edges([], vertex_count=exact_module.COVERAGE_GUARD + 1)
         with pytest.raises(GuardError):
-            exact_coverage(small, 0, guard=10, dist=all_pairs_distances(small))
+            exact_coverage(big, 0, dist=all_pairs_distances(big))
 
     def test_covers_at_least_the_weighted_pairs(self):
         # every pair with positive path share through r must pass the

@@ -1,6 +1,5 @@
 import math
 from dataclasses import fields
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +60,10 @@ class TestConfigValidation:
             dict(k=2, stopping="fixed"),
             dict(k=2, stopping="fixed", fixed_samples=0),
             dict(k=2, stopping="hoeffding"),
+            dict(k=2.5),
+            dict(k=True),
+            dict(k=2, fixed_samples=2.5),
+            dict(k=2, fixed_samples=True),
         ],
     )
     def test_bad_options_rejected(self, kwargs):
@@ -97,7 +100,6 @@ class TestSampleWalk:
         assert walk.completed and walk.contains_mark
         assert walk.probability_denominator == 1
         assert walk.weight_denominator == 1
-        assert walk.probability == Fraction(1) and walk.weight == Fraction(1)
 
     def test_walk_stops_short_when_boxed_in(self, three_path):
         b = three_path.id_of("b")
