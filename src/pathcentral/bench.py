@@ -12,6 +12,10 @@ above 1 the jobs share one process pool, oracles included; with 1 each job
 runs in the calling process as it is submitted. Either way a dataset's
 rows and oracle job are submitted as soon as its betweenness pass is done.
 
+A config is read once, before any dataset loads, against the shape of
+``DEFAULT_CONFIG``: a missing key takes its default, a given one must have
+the default's JSON type, and a list's first entry types all its entries.
+
 Reports are deterministic: rows are sorted, repetition seeds depend only on
 the master seed and the task's position in the sorted task list (first
 state word of the master seed sequence spawned at the task index), and
@@ -77,6 +81,93 @@ _GENERATORS = {
     "layered": layered_dag,
 }
 
+# The keys that DEFAULT_CONFIG leaves out, by dotted path; a list's entries
+# share its path. ``dict`` is an object the generator checks; a one-value tuple
+# is the one value an older key may take, as k-path cells run only one way.
+_NO_DEFAULT = {
+    "vertices.labels": [""],
+    "datasets.name": "", "datasets.path": "", "datasets.generator": "", "datasets.params": dict,
+    "kpath.stopping": ("adaptive",), "kpath.count_sink_roots": (True,),
+}
+# Range rules: the least value of an integer or length of a list, and the
+# values that a string may take, with what the string names.
+_AT_LEAST = {"seed": 0, "reps": 1, "workers": 1, "vertices.count": 0, "grid.tolerances": 1}
+_KNOWN = {"methods": ("method", METHODS),
+          "vertices.policy": ("vertex policy", ("labels", "random", "top-betweenness")),
+          "datasets.generator": ("generator", tuple(sorted(_GENERATORS)))}
+_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+          dict: "an object"}
+
+
+def _fits(value: Any, kind: type) -> bool:  # JSON types; a bool is no number
+    return isinstance(value, bool) == (kind is bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
+def _checked(value: Any, shape: Any, key: str) -> Any:
+    """``value`` read against ``shape`` at the dotted path ``key``, as a
+    new object or list, an object's missing keys filled from ``shape``."""
+    if isinstance(shape, tuple):
+        if type(value) is not type(shape[0]) or value != shape[0]:
+            raise ValueError(f"config {key!r} must be {json.dumps(shape[0])}, got {value!r}")
+        return value
+    kind = shape if isinstance(shape, type) else type(shape)
+    if kind is list:
+        entry = type(shape[0])
+        if not _fits(value, list) or not all(_fits(item, entry) for item in value):
+            raise ValueError(f"config {key!r} must be a list, each entry {_TYPES[entry]}, "
+                             f"got {value!r}")
+        value = [_checked(item, entry(), key) for item in value]
+        if len(value) < _AT_LEAST.get(key, 0):
+            raise ValueError(f"config {key!r} must not be empty")
+        # datasets are told apart by name, in _read_config
+        if entry is not dict and len(set(value)) < len(value):
+            raise ValueError(f"config {key!r} must not repeat an entry, got {value!r}")
+        return value
+    if not _fits(value, kind):
+        raise ValueError(f"config {key!r} must be {_TYPES[kind]}, got {value!r}")
+    if isinstance(shape, dict):
+        filled = {}
+        for sub, item in {**shape, **value}.items():
+            path = f"{key}.{sub}" if key else sub
+            inner = shape[sub] if sub in shape else _NO_DEFAULT.get(path)
+            if inner is None:
+                raise ValueError(f"config {path!r} is not a known key")
+            filled[sub] = _checked(item, inner, path)
+        return filled
+    if kind is int and value < _AT_LEAST.get(key, value):
+        raise ValueError(f"config {key!r} must be >= {_AT_LEAST[key]}, got {value}")
+    if key in _KNOWN and value not in _KNOWN[key][1]:
+        noun, known = _KNOWN[key]
+        raise ValueError(f"unknown {noun} {value!r} in config {key!r}; known: {known}")
+    return float(value) if kind is float else value
+
+
+def _read_config(config: Any, workers: Any) -> dict[str, Any]:
+    """``config`` read against ``DEFAULT_CONFIG`` as a new dict, each default
+    filled in and ``workers``, unless None, in place of the config's. A
+    generated dataset with no ``seed`` in its params takes the master seed."""
+    if not isinstance(config, dict):
+        raise ValueError("a benchmark config must be a JSON object")
+    if workers is not None:
+        config = {**config, "workers": workers}
+    cfg = _checked(config, DEFAULT_CONFIG, "")
+    names = set()
+    for spec in cfg["datasets"]:
+        spec["name"] = name = spec.get("name") or spec.get("path", "dataset")
+        if ("path" in spec) == ("generator" in spec):
+            raise ValueError(f"config 'datasets' entry {name!r} must have exactly one "
+                             f"of 'path' and 'generator'")
+        if name in names:
+            # rows, oracle values and worker graphs are all keyed by name
+            raise ValueError(f"duplicate dataset name {name!r} in config 'datasets'")
+        names.add(name)
+        if "generator" in spec:
+            spec["params"] = {"seed": cfg["seed"], **spec.get("params", {})}
+    if cfg["vertices"]["policy"] == "labels" and "labels" not in cfg["vertices"]:
+        raise ValueError("config 'vertices.labels' must be given for the 'labels' policy")
+    return cfg
+
 
 def _ranked(g: DirectedGraph, scores, count: int) -> list[int]:
     return sorted(g.vertices(), key=lambda v: (-scores[v], v))[: max(0, count)]
@@ -99,19 +190,13 @@ def _load_dataset(spec: dict[str, Any]) -> DirectedGraph:
     if "path" in spec:
         with open(spec["path"], "r", encoding="utf-8") as fh:
             return load_edge_list(fh)
-    gen = _GENERATORS.get(spec.get("generator", ""))
-    if gen is None:
-        raise ValueError(
-            f"dataset {spec.get('name', '?')!r} needs a 'path' or a known 'generator' "
-            f"(one of {sorted(_GENERATORS)})"
-        )
+    gen = _GENERATORS[spec["generator"]]
     try:
-        return gen(**spec.get("params", {}))
+        return gen(**spec["params"])
     except TypeError as exc:
-        params = inspect.signature(gen).parameters
         raise ValueError(
-            f"dataset {spec.get('name', '?')!r}: bad params for generator "
-            f"{spec['generator']!r} ({exc}); accepted: {sorted(params)}"
+            f"dataset {spec['name']!r}: bad params for generator {spec['generator']!r} "
+            f"({exc}); accepted: {sorted(inspect.signature(gen).parameters)}"
         ) from exc
 
 
@@ -119,7 +204,7 @@ def _graph_hash(g: DirectedGraph) -> str:
     return hashlib.sha256(dump_edge_list(g).encode("utf-8")).hexdigest()[:16]
 
 
-def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], count: int,
+def _pick_vertices(g: DirectedGraph, policy: dict[str, Any],
                    master_seed: int) -> list[int] | None:
     """The policy's vertices, or None for ``top-betweenness``, whose pick
     waits for the dataset's betweenness scores."""
@@ -128,73 +213,15 @@ def _pick_vertices(g: DirectedGraph, policy: dict[str, Any], count: int,
         _check_top_guard(g)
         return None
     if kind == "labels":
-        return [g.id_of(str(lab)) for lab in policy["labels"]]
-    if kind == "random":
-        rng = np.random.default_rng(master_seed)
-        count = min(count, g.vertex_count)
-        return sorted(int(v) for v in rng.choice(g.vertex_count, size=count, replace=False))
-    raise ValueError(f"unknown vertex policy {kind!r}")
-
-
-def _check_keys(config: dict[str, Any]) -> None:
-    """Refuse a key that no setting reads, at the top level or in a section.
-    Besides the keys of ``DEFAULT_CONFIG``, a section may hold the roots of
-    the ``labels`` policy and the two k-path keys that older configs send."""
-    more = {"vertices": {"labels"}, "kpath": {"stopping", "count_sink_roots"}}
-    for key, value in config.items():
-        if key not in DEFAULT_CONFIG:
-            raise ValueError(f"config {key!r} is not a known key")
-        if isinstance(DEFAULT_CONFIG[key], dict) and isinstance(value, dict):
-            unknown = sorted(value.keys() - DEFAULT_CONFIG[key].keys() - more.get(key, set()))
-            if unknown:
-                raise ValueError(f"config '{key}.{unknown[0]}' is not a known key")
-
-
-def _setting(config: dict[str, Any], key: str) -> Any:
-    return config.get(key, DEFAULT_CONFIG[key])
-
-
-def _section(config: dict[str, Any], key: str) -> dict[str, Any]:
-    """The section ``key``, each missing leaf filled from ``DEFAULT_CONFIG``."""
-    value = _setting(config, key)
-    if not isinstance(value, dict):
-        raise ValueError(f"config {key!r} must be an object, got {type(value).__name__}")
-    return {**DEFAULT_CONFIG[key], **value}
-
-
-def _list_of(value: Any, kind, key: str, what: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
-        raise ValueError(f"config {key!r} must be a list of {what}")
-    return value
-
-
-def _scalar(value: Any, kind, key: str):
-    """``value`` as ``kind``: an int, any real number for ``kind=float``, true
-    or false for ``kind=bool``. A bool passes only as ``kind=bool``."""
-    accepted = {bool: bool, int: int, float: (int, float)}[kind]
-    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-        what = {bool: "true or false", int: "an integer", float: "a number"}[kind]
-        raise ValueError(f"config {key!r} must be {what}, got {value!r}")
-    return kind(value)
+        return [g.id_of(label) for label in policy["labels"]]
+    rng = np.random.default_rng(master_seed)
+    count = min(policy["count"], g.vertex_count)
+    return sorted(int(v) for v in rng.choice(g.vertex_count, size=count, replace=False))
 
 
 def _task_seed(master_seed: int, index: int) -> int:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _kpath_config(spec: dict[str, Any]) -> KPathConfig:
-    """The checked ``kpath`` section, at the default accuracy.
-
-    A grid cell is a (tolerance, failure_prob) target and every root with
-    an in-edge is sampled, so the older keys ``stopping`` and
-    ``count_sink_roots`` are accepted only with the values that say so.
-    """
-    for key, value in (("stopping", "adaptive"), ("count_sink_roots", True)):
-        if key in spec and (type(spec[key]) is not type(value) or spec[key] != value):
-            raise ValueError(f"config 'kpath.{key}' must be {json.dumps(value)}, "
-                             f"got {json.dumps(spec[key])}")
-    return KPathConfig(k=_scalar(spec["k"], int, "kpath.k"), weight=spec["weight"])
 
 
 def _cell_config(method: str, tolerance: float, failure_prob: float,
@@ -219,10 +246,7 @@ def _or_none(oracle, *args, **kwargs) -> float | None:
 
 # Jobs: module functions that take a dataset's graph first, so that a pool
 # task pickles only the function's name, the dataset's name and the rest.
-
-def _scores_job(g: DirectedGraph):
-    return brandes_betweenness_all(g)
-
+# ``brandes_betweenness_all`` is one of them.
 
 def _oracle_job(g: DirectedGraph, vertices: list[int], methods: list[str],
                 k: int, weight: str) -> dict[tuple[str, str], float | None]:
@@ -328,8 +352,8 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     average and maximum error and time over the repetitions. Error columns
     appear when the matching exact oracle is feasible for the dataset.
 
-    A key that no setting reads is refused first, and every cell's
-    estimator config is built, and so checked, before any job starts. A
+    The config is read first, by ``_read_config``, and every cell's
+    estimator config is built, and so checked, before any dataset loads. A
     dataset whose exact betweenness is wanted, or whose vertices are its
     top-betweenness ones, gets one ``brandes_betweenness_all`` job.
     As each of those finishes, in completion order, the dataset's vertices
@@ -340,47 +364,21 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     it, and their number never depends on the scores. A failing job cancels
     the queued ones and its error propagates.
     """
-    if not isinstance(config, dict):
-        raise ValueError("a benchmark config must be a JSON object")
-    _check_keys(config)
-    master_seed = _scalar(_setting(config, "seed"), int, "seed")
-    reps = _scalar(_setting(config, "reps"), int, "reps")
-    if reps < 1:
-        raise ValueError(f"config 'reps' must be >= 1, got {reps}")
-    want_time = _scalar(_setting(config, "timing"), bool, "timing")
-    want_exact = _scalar(_setting(config, "exact"), bool, "exact")
-    methods = _list_of(_setting(config, "methods"), str, "methods", "strings")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; known: {METHODS}")
-    methods = sorted(methods)
-    grid = _section(config, "grid")
-    tolerances = sorted(float(t) for t in _list_of(
-        grid["tolerances"], (int, float), "grid.tolerances", "numbers"))
-    if not tolerances:
-        raise ValueError("config 'grid.tolerances' must not be empty")
-    failure_prob = _scalar(grid["failure_prob"], float, "grid.failure_prob")
-    kpath = _kpath_config(_section(config, "kpath"))
-    if workers is None:
-        workers = _scalar(_setting(config, "workers"), int, "workers")
-    if workers < 1:
-        raise ValueError(f"config 'workers' must be >= 1, got {workers}")
+    settings = _read_config(config, workers)
+    master_seed, reps = settings["seed"], settings["reps"]
+    want_time, want_exact = settings["timing"], settings["exact"]
+    methods = sorted(settings["methods"])
+    tolerances = sorted(settings["grid"]["tolerances"])
+    failure_prob = settings["grid"]["failure_prob"]
+    kpath = KPathConfig(k=settings["kpath"]["k"], weight=settings["kpath"]["weight"])
     cell_configs = {(method, tolerance): _cell_config(method, tolerance, failure_prob, kpath)
                     for method in methods for tolerance in tolerances}
 
-    policy = _section(config, "vertices")
-    count = _scalar(policy["count"], int, "vertices.count")
-    if count < 0:
-        raise ValueError(f"config 'vertices.count' must be >= 0, got {count}")
-    specs = _list_of(_setting(config, "datasets"), dict, "datasets", "objects")
+    count = settings["vertices"]["count"]
     datasets: dict[str, tuple[DirectedGraph, list[int] | None]] = {}
-    for spec in specs:
+    for spec in settings["datasets"]:
         g = _load_dataset(spec)
-        name = spec.get("name") or spec.get("path", "dataset")
-        if name in datasets:
-            # rows, oracle values and worker graphs are all keyed by name
-            raise ValueError(f"duplicate dataset name {name!r}")
-        datasets[name] = (g, _pick_vertices(g, policy, count, master_seed))
+        datasets[spec["name"]] = (g, _pick_vertices(g, settings["vertices"], master_seed))
 
     rows_per_vertex = len(methods) * len(tolerances) * reps
     offsets: dict[str, int] = {}
@@ -395,11 +393,12 @@ def run_benchmark(config: dict[str, Any], workers: int | None = None) -> dict[st
     rows: list[dict[str, Any] | None] = [None] * total
     exacts: dict[tuple, float | None] = {}
     fractions: dict[tuple, dict[str, float]] = {}
-    with _Jobs(graphs, workers) as jobs:
+    with _Jobs(graphs, settings["workers"]) as jobs:
         scoring = {}
         for name, (g, vertices) in datasets.items():
             wanted = vertices is None or (want_exact and g.vertex_count <= COVERAGE_GUARD)
-            scoring[jobs.submit(_scores_job, name) if wanted else _finished(None)] = name
+            job = jobs.submit(brandes_betweenness_all, name) if wanted else _finished(None)
+            scoring[job] = name
         row_jobs: dict[Future, int] = {}
         oracle_jobs: dict[Future, str] = {}
         for done in as_completed(scoring):

@@ -1,5 +1,9 @@
+import copy
 import hashlib
+import json
 import multiprocessing
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,23 @@ from pathcentral.bench import (
 from pathcentral.errors import GuardError
 from pathcentral.graph import DirectedGraph, dump_edge_list
 from pathcentral.generate import random_digraph
+
+
+SEEDLESS = {"generator": "random", "params": {"n": 20, "edge_prob": 0.2}}
+
+# Configs that used to get past the config checks, each with the key that
+# its refusal names.
+CONFIG_HOLES = [
+    ({"datasets": [{"nam": "tiny", **SEEDLESS}]}, "datasets.nam"),
+    ({"datasets": [{"name": "both", "path": "g.edges", **SEEDLESS}]}, "datasets"),
+    ({"vertices": {"policy": "labels", "labels": "12"}}, "vertices.labels"),
+    ({"vertices": {"policy": "labels"}}, "vertices.labels"),
+    ({"datasets": [{"name": 3, **SEEDLESS}, {"name": "a", **SEEDLESS}]}, "datasets.name"),
+    ({"methods": ["coverage", "coverage"]}, "methods"),
+    ({"grid": {"tolerances": [0.1, 0.1]}}, "grid.tolerances"),
+    ({"vertices": {"policy": "labels", "labels": ["3", "3"]}}, "vertices.labels"),
+    ({"seed": -3}, "seed"),
+]
 
 
 def tiny_config(**overrides):
@@ -218,6 +239,40 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="edge_prob"):
             run_benchmark(tiny_config(datasets=bad))
 
+    def test_seedless_generated_dataset_takes_the_master_seed(self):
+        def config():
+            return tiny_config(datasets=[{"name": "seedless", **SEEDLESS}], methods=["coverage"])
+
+        one = report_to_json(run_benchmark(config()))
+        assert report_to_json(run_benchmark(config())) == one
+        seeded = copy.deepcopy(SEEDLESS)
+        seeded["params"]["seed"] = config()["seed"]
+        again = run_benchmark(config() | {"datasets": [{"name": "seedless", **seeded}]})
+        assert report_to_json(again) == one
+
+    @pytest.mark.parametrize("workers", [2.5, True, "2"])
+    def test_workers_argument_is_checked(self, workers):
+        with pytest.raises(ValueError, match="config 'workers' must be an integer"):
+            run_benchmark(tiny_config(), workers=workers)
+
+    def test_caller_config_is_left_unchanged(self):
+        # one dict may serve many calls, as in a benchmark loop
+        config = tiny_config(datasets=[{"name": "seedless", **SEEDLESS}],
+                             vertices={"policy": "labels", "labels": ["3"]},
+                             methods=["coverage"], reps=1)
+        del config["grid"]
+        before = copy.deepcopy(config)
+        run_benchmark(config, workers=1)
+        assert config == before
+
+    def test_readme_example_passes_the_reader(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Benchmarks\n", 1)[1].split("\n## ", 1)[0]
+        example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        settings = pathcentral.bench._read_config(example, None)
+        assert [spec["name"] for spec in settings["datasets"]] == ["hub-2000", "mine"]
+        assert settings["grid"]["tolerances"] == [0.05, 0.025]
+
 
 def pinned_config(vertices):
     # two datasets listed out of name order, the second small enough for
@@ -290,6 +345,7 @@ class TestScheduling:
             {"worker": 1},
             {"vertices": {"policy": "top-betweenness", "cnt": 2}},
             {"kpath": {"k": 3, "weights": "original"}},
+            *(overrides for overrides, _ in CONFIG_HOLES),
         ],
     )
     def test_bad_cell_config_fails_before_any_job(self, monkeypatch, overrides):

@@ -5,6 +5,7 @@ import pytest
 
 from pathcentral.cli import main
 from pathcentral.graph import loads_edge_list
+from test_bench import CONFIG_HOLES
 
 
 @pytest.fixture
@@ -376,6 +377,17 @@ class TestStdinAndErrors:
         code = main(["bench", "--config", str(path)])
         assert code == 2
         assert f"config '{key}' is not a known key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", CONFIG_HOLES)
+    def test_bench_refused_before_loading(self, capsys, tmp_path, config, key):
+        # the default dataset file does not exist, so loading it first would
+        # fail with another message
+        config = {"datasets": [{"name": "t", "path": str(tmp_path / "absent.edges")}], **config}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["bench", "--config", str(path)])
+        assert code == 2
+        assert f"config '{key}'" in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -33,6 +33,7 @@ class TestParsing:
         assert g.out_neighbors(a) == (b,)
         assert g.out_neighbors(b) == (c,)
         assert g.in_neighbors(c) == (b,)
+        assert dump_edge_list(loads_edge_list("a b\r\nb c\r\n")) == dump_edge_list(g)
 
     def test_duplicates_and_self_loops_dropped_with_counts(self):
         g = loads_edge_list("a b\na b\nb b")
@@ -51,6 +52,8 @@ class TestParsing:
     def test_blank_lines_ignored(self):
         g = loads_edge_list("\na b\n\n   \nb c\n")
         assert g.edge_count == 2
+        g = loads_edge_list("\r\na b\r\n\r\n   \r\nb c\r\n")
+        assert g.edge_count == 2
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(GraphParseError, match="line 2"):
@@ -68,6 +71,9 @@ class TestParsing:
         g = loads_edge_list("x y\na x")
         assert g.labels == ("x", "y", "a")
         assert g.id_of("x") == 0
+        g = loads_edge_list("é ü\nü 北京")
+        assert g.labels == ("é", "ü", "北京")
+        assert g.out_neighbors(g.id_of("ü")) == (g.id_of("北京"),)
 
     def test_unknown_label_raises(self):
         g = loads_edge_list("a b")
@@ -201,6 +207,9 @@ class TestRoundTrip:
 
     def test_serialization_is_idempotent(self, shortcut):
         once = dump_edge_list(shortcut)
+        assert dump_edge_list(loads_edge_list(once)) == once
+        once = dump_edge_list(loads_edge_list("é ü\r\nü 北京\r\n"))
+        assert once == "é ü\nü 北京\n"
         assert dump_edge_list(loads_edge_list(once)) == once
 
     @settings(max_examples=60, deadline=None)
