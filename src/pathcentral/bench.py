@@ -164,6 +164,9 @@ def _read_config(config: Any, workers: Any) -> dict[str, Any]:
         names.add(name)
         if "generator" in spec:
             spec["params"] = {"seed": cfg["seed"], **spec.get("params", {})}
+        elif "params" in spec:
+            raise ValueError(f"config 'datasets.params' of entry {name!r} needs a "
+                             f"'generator'; a 'path' dataset takes no params")
     if cfg["vertices"]["policy"] == "labels" and "labels" not in cfg["vertices"]:
         raise ValueError("config 'vertices.labels' must be given for the 'labels' policy")
     return cfg

@@ -112,7 +112,7 @@ def estimate_betweenness(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> E
     """
 
     def hit_test(rng, reach, s: int, t: int, space) -> bool:
-        if not on_some_shortest_path(g, s, t, root, reach, space):
+        if not on_some_shortest_path(g, s, t, reach, space):
             return False
         dag = build_shortest_path_dag(g, s, t, space)
         return sample_uniform_path(dag, rng, mark=root).contains_mark
@@ -130,6 +130,6 @@ def estimate_coverage(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> Esti
     """
 
     def hit_test(rng, reach, s: int, t: int, space) -> bool:
-        return on_some_shortest_path(g, s, t, root, reach, space)
+        return on_some_shortest_path(g, s, t, reach, space)
 
     return _pair_loop(g, root, cfg, hit_test)

@@ -56,6 +56,9 @@ class DirectedGraph:
         self._fwd = forward
         self._rev = reverse
         self._label_to_id = {lab: v for v, lab in enumerate(labels)}
+        if len(self._label_to_id) != len(labels):
+            dup = next(lab for v, lab in enumerate(labels) if self._label_to_id[lab] != v)
+            raise ValueError(f"vertex label {dup!r} is given to more than one vertex")
 
     @classmethod
     def from_edges(
@@ -222,8 +225,13 @@ def dump_edge_list(g: DirectedGraph) -> str:
     """Serialize to the input format, edges sorted by internal id pair.
 
     Round-trips: loading the output reproduces an isomorphic graph, with
-    the same labels mapped to the same neighbors.
+    the same labels mapped to the same neighbors. A label that the format
+    cannot hold (empty, holding whitespace, or starting with ``#``) raises
+    ``ValueError`` instead of writing a line that would not load back.
     """
+    for lab in g.labels:
+        if lab.split() != [lab] or lab.startswith("#"):
+            raise ValueError(f"vertex label {lab!r} cannot be written to an edge list")
     lines = [f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges()]
     return "\n".join(lines) + ("\n" if lines else "")
 

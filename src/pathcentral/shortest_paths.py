@@ -17,16 +17,19 @@ exactly once, and the number of shortest paths factors as
 sum over meeting v of (paths s to v) * (paths v to t).
 
 Both searches keep their labels in one reusable scratch (``_SearchSpace``):
-an epoch-stamped side mark per vertex, plus flat distance, path-count and
-first-parent lists for the counting search. The distance-only search
-needs no counts, so it exits at the first contact. The counting search
-finishes the contact level, but only scans it for contact edges, and
-builds predecessor tuples for the structure's vertices alone; its result
-is the same, tuple order included, as that of a search that keeps a
-predecessor list for every labelled vertex. The betweenness
-estimator runs the distance search as a gate before the builder, on the
-same scratch: the root can only be on a drawn path when it is on some
-shortest path.
+an epoch-stamped side mark per vertex, plus, for the counting search, flat
+distance, path-count and first-parent lists for each side. The
+distance-only search needs no counts, so it exits at the first contact.
+The counting search finishes the contact level, but only scans it for
+contact edges, and labels each meeting vertex on the expanding side as
+well, so a meeting vertex carries both sides' labels. It then builds
+predecessor tuples for the structure's vertices alone, along forward
+parent links from the meeting set back to s and along backward parent
+links on to t. Its result is the same, tuple order included, as that of
+a search that keeps a predecessor list for every labelled vertex. The
+betweenness estimator runs the distance search as a gate before the
+builder, on the same scratch: the root can only be on a drawn path when
+it is on some shortest path.
 """
 
 from __future__ import annotations
@@ -81,13 +84,15 @@ class PathSample:
 class _SearchSpace:
     """Reusable scratch for both searches: one epoch-stamped mark per vertex.
 
-    Each search takes two fresh stamps, one per side, so a vertex is labelled
-    by the forward side, by the backward side, or (stale stamp) by neither.
-    Starting a search is one increment instead of clearing two dicts, and a
-    run that draws many pairs allocates the marks once. The counting search
-    also keeps a distance, a path count and a first parent per vertex. It
-    writes all three when it labels a vertex and reads them only for
-    vertices carrying its own stamps, so stale entries are never read.
+    A search takes fresh stamps, one per side, so a vertex is labelled by
+    the forward side, by the backward side, or (stale stamp) by neither;
+    the counting search takes a third stamp for a vertex that both sides
+    have labelled. Starting a search is one increment instead of clearing
+    dicts, and a run that draws many pairs allocates the marks once. The
+    counting search also keeps, per side, a distance, a path count and a
+    first parent per vertex. It writes a side's three entries when that
+    side labels the vertex and reads them only for vertices carrying that
+    side's stamp or the shared one, so stale entries are never read.
     """
 
     __slots__ = ("mark", "epoch", "dist", "sigma", "parent")
@@ -96,7 +101,9 @@ class _SearchSpace:
         n = g.vertex_count
         self.mark = [0] * n
         self.epoch = 0
-        self.dist, self.sigma, self.parent = [0] * n, [0] * n, [0] * n
+        self.dist = ([0] * n, [0] * n)
+        self.sigma = ([0] * n, [0] * n)
+        self.parent = ([0] * n, [0] * n)
 
 
 def build_shortest_path_dag(
@@ -110,14 +117,17 @@ def build_shortest_path_dag(
     the same graph, shared with :func:`shortest_path_length`; without one a
     fresh scratch is allocated.
 
-    Each labelled vertex keeps its distance, its path count and its first
-    parent (the frontier vertex whose edge labelled it). Later parents are
-    rare, so they go to one list for the whole search instead of a list per
-    vertex. Once the first contact shows up, the rest of that level is only
-    scanned for contact edges, from the expanding frontier into the other
-    side, and labels nothing. Predecessor tuples list parents in the order
-    the level scan met them, and the backward half is assembled by the same
-    stack walk as in a search that keeps every predecessor list, so each
+    Each side labels a vertex with its distance, its path count and its
+    first parent (the frontier vertex whose edge labelled it). Later
+    parents are rare, so they go to one list per side for the whole search
+    instead of a list per vertex. Once the first contact shows up, the rest
+    of that level is only scanned for contact edges, from the expanding
+    frontier into the other side, and the vertices they reach, the meeting
+    set, are labelled by the expanding side too; nothing else is labelled.
+    The structure is then assembled as in a search that keeps every
+    predecessor list: the forward half along forward parent links from the
+    meeting set, the backward half along backward parent links. Parents
+    are listed in the order the level scan met them, so each predecessor
     tuple has the order a seeded draw depends on.
     """
     g._check(source)
@@ -126,32 +136,32 @@ def build_shortest_path_dag(
         raise ValueError("source and target must differ")
     if space is None:
         space = _SearchSpace(g)
-    fwd_mark = space.epoch + 1
-    bwd_mark = space.epoch + 2
-    space.epoch = bwd_mark
-    mark, dist, sigma, parent = space.mark, space.dist, space.sigma, space.parent
-    mark[source] = fwd_mark
-    mark[target] = bwd_mark
-    dist[source] = dist[target] = 0
-    sigma[source] = sigma[target] = 1
-    fwd_adj = g._fwd
-    rev_adj = g._rev
-    frontier_f = [source]
-    frontier_b = [target]
-    radius_f = radius_b = 0
-    later_parents: list[tuple[int, int]] = []
+    marks = (space.epoch + 1, space.epoch + 2)
+    both = space.epoch + 3
+    space.epoch = both
+    mark = space.mark
+    dist_f, dist_b = space.dist
+    sigma_f, sigma_b = space.sigma
+    parent_f, parent_b = space.parent
+    mark[source], mark[target] = marks
+    dist_f[source] = dist_b[target] = 0
+    sigma_f[source] = sigma_b[target] = 1
+    frontiers = [[source], [target]]
+    radius = [0, 0]
+    later: tuple[list[tuple[int, int]], ...] = ([], [])
 
     while True:
-        if not frontier_f or not frontier_b:
+        if not frontiers[0] or not frontiers[1]:
             return None
-        if len(frontier_f) <= len(frontier_b):
-            adj, frontier, own, other = fwd_adj, frontier_f, fwd_mark, bwd_mark
-            radius_f += 1
-            level = radius_f
-        else:
-            adj, frontier, own, other = rev_adj, frontier_b, bwd_mark, fwd_mark
-            radius_b += 1
-            level = radius_b
+        # side 0 grows from the source over forward edges, side 1 from the
+        # target over reversed ones
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        own, other = marks[side], marks[1 - side]
+        adj, frontier = (g._fwd, g._rev)[side], frontiers[side]
+        dist, sigma, parent = space.dist[side], space.sigma[side], space.parent[side]
+        pairs = later[side]
+        radius[side] += 1
+        level = radius[side]
         next_frontier = []
         for at, u in enumerate(frontier):
             su = sigma[u]
@@ -160,7 +170,7 @@ def build_shortest_path_dag(
                 if m == own:
                     if dist[v] == level:
                         sigma[v] += su
-                        later_parents.append((v, u))
+                        pairs.append((v, u))
                 elif m == other:
                     break
                 else:
@@ -173,94 +183,76 @@ def build_shortest_path_dag(
                 continue
             break
         else:
-            if own == fwd_mark:
-                frontier_f = next_frontier
-            else:
-                frontier_b = next_frontier
+            frontiers[side] = next_frontier
             continue
         break
 
-    # The contact level. ``meet`` maps each vertex of the other side that a
-    # frontier vertex reaches to those frontier vertices, both in scan order;
-    # the frontier vertices before ``at`` have no contact edge.
-    meet: dict[int, list[int]] = {}
+    # The contact level: the frontier vertices before ``at`` have no contact
+    # edge. Its contact edges are collected in scan order first, so the scan
+    # makes one test per edge, and then the expanding side labels the
+    # meeting set.
+    contacts = []
     for u in frontier[at:]:
         for v in adj[u]:
             if mark[v] == other:
-                ps = meet.get(v)
-                if ps is None:
-                    meet[v] = [u]
-                else:
-                    ps.append(u)
-    more: dict[int, list[int]] = {}
-    for v, u in later_parents:
-        more.setdefault(v, []).append(u)
+                contacts.append((v, u))
+    meeting = []
+    for v, u in contacts:
+        if mark[v] == other:
+            mark[v] = both
+            dist[v] = level
+            sigma[v] = sigma[u]
+            parent[v] = u
+            meeting.append(v)
+        else:
+            sigma[v] += sigma[u]
+            pairs.append((v, u))
+    more_f, more_b = _grouped(later[0]), _grouped(later[1])
 
-    distance = radius_f + radius_b
-    forward_contact = own == fwd_mark
-    path_count = 0
+    distance = radius[0] + radius[1]
+    path_count = sum(sigma_f[v] * sigma_b[v] for v in meeting)
     counts: dict[int, int] = {}
     position: dict[int, int] = {}
     dag_preds: dict[int, tuple[int, ...]] = {}
 
-    # Forward half: the meeting set, every meeting vertex at distance
-    # radius_f, and everything reaching it along parent links, with the
-    # forward search's path counts and distances. After a backward contact
-    # the meeting vertices are labelled by the forward search, so the walk
-    # takes them like any other.
-    stack: list[int] = []
-    for v, ps in meet.items():
-        contact_sigma = sum(sigma[u] for u in ps)
-        path_count += contact_sigma * sigma[v]
-        if forward_contact:
-            counts[v] = contact_sigma
-            position[v] = radius_f
-            dag_preds[v] = tuple(ps)
-            stack += ps
-        else:
-            stack.append(v)
+    # Forward half: the meeting set and everything reaching it along
+    # forward parent links, with the forward search's counts and distances.
+    stack = list(meeting)
     while stack:
         v = stack.pop()
         if v in counts:
             continue
-        counts[v] = sigma[v]
-        position[v] = dist[v]
+        counts[v] = sigma_f[v]
+        position[v] = dist_f[v]
         if v == source:
             dag_preds[v] = ()
             continue
-        p = parent[v]
-        ps = [p] + more[v] if v in more else [p]
+        p = parent_f[v]
+        ps = [p] + more_f[v] if v in more_f else [p]
         dag_preds[v] = tuple(ps)
         stack += ps
 
-    # Backward half: everything the meeting set reaches along successor
-    # links. Source-side path counts are not known here (the backward search
-    # counted paths to the target), so propagate them level by level away
-    # from the meeting set. The order in which this stack walk pops vertices
-    # is the order of each predecessor tuple here, and so of a seeded draw.
+    # Backward half: everything the meeting set reaches along backward
+    # parent links. Source-side path counts are not known here (the
+    # backward search counted paths to the target), so propagate them level
+    # by level away from the meeting set. The order in which this stack
+    # walk pops vertices is the order of each predecessor tuple here, and
+    # so of a seeded draw.
     by_depth: dict[int, list[int]] = {}
     back_preds: dict[int, list[int]] = {}
-    bseen = set(meet)
-    stack = list(meet)
+    bseen = set(meeting)
+    stack = list(meeting)
     while stack:
         v = stack.pop()
-        if not forward_contact and v in meet:
-            succ = meet[v]
-        elif v == target:
+        if v == target:
             continue
-        else:
-            p = parent[v]
-            succ = [p] + more[v] if v in more else [p]
-        for u in succ:
-            ps = back_preds.get(u)
-            if ps is None:
-                back_preds[u] = [v]
-            else:
-                ps.append(v)
+        p = parent_b[v]
+        for u in [p] + more_b[v] if v in more_b else [p]:
+            back_preds.setdefault(u, []).append(v)
             if u not in bseen:
                 bseen.add(u)
                 stack.append(u)
-                by_depth.setdefault(dist[u], []).append(u)
+                by_depth.setdefault(dist_b[u], []).append(u)
     for depth in sorted(by_depth, reverse=True):
         for v in by_depth[depth]:
             ps = back_preds[v]
@@ -278,6 +270,14 @@ def build_shortest_path_dag(
         counts=counts,
         preds=dag_preds,
     )
+
+
+def _grouped(later: list[tuple[int, int]]) -> dict[int, list[int]]:
+    """Each vertex's later parents, in the order the level scan met them."""
+    more: dict[int, list[int]] = {}
+    for v, u in later:
+        more.setdefault(v, []).append(u)
+    return more
 
 
 def _weighted_index(rng, weights: list[int]) -> int:
@@ -388,20 +388,18 @@ def on_some_shortest_path(
     g: DirectedGraph,
     source: int,
     target: int,
-    vertex: int,
     reach: ReachabilityInfo,
     space: _SearchSpace | None = None,
 ) -> bool:
-    """True iff ``vertex`` lies on at least one shortest source-target path.
+    """True iff ``reach.root`` lies on at least one shortest source-target path.
 
-    Pure distance test: d(source, vertex) + d(vertex, target) == d(source,
+    Pure distance test: d(source, root) + d(root, target) == d(source,
     target), with the two legs read off the precomputed reachability maps.
-    ``reach`` must have been computed for ``vertex``; ``space`` is passed on
-    to :func:`shortest_path_length`.
+    ``space`` is passed on to :func:`shortest_path_length`.
     """
-    to_v = reach.dist_to_root.get(source)
-    from_v = reach.dist_from_root.get(target)
-    if to_v is None or from_v is None:
+    to_root = reach.dist_to_root.get(source)
+    from_root = reach.dist_from_root.get(target)
+    if to_root is None or from_root is None:
         return False
     d = shortest_path_length(g, source, target, space)
-    return d is not None and to_v + from_v == d
+    return d is not None and to_root + from_root == d

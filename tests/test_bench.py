@@ -34,6 +34,7 @@ CONFIG_HOLES = [
     ({"grid": {"tolerances": [0.1, 0.1]}}, "grid.tolerances"),
     ({"vertices": {"policy": "labels", "labels": ["3", "3"]}}, "vertices.labels"),
     ({"seed": -3}, "seed"),
+    ({"datasets": [{"name": "f", "path": "g.edges", "params": {"n": 5}}]}, "datasets.params"),
 ]
 
 

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DirectedGraph.from_edges([(0, 1)], labels=("only-one",))
 
+    def test_from_edges_rejects_duplicate_labels(self):
+        # two vertices under one label would leave id_of free to answer for either
+        with pytest.raises(ValueError, match="'a'"):
+            DirectedGraph.from_edges([(0, 1), (1, 2)], labels=("a", "a", "b"))
+
     def test_isolated_vertices_allowed(self):
         g = DirectedGraph.from_edges([], vertex_count=4)
         assert g.vertex_count == 4
@@ -211,6 +217,18 @@ class TestRoundTrip:
         once = dump_edge_list(loads_edge_list("é ü\r\nü 北京\r\n"))
         assert once == "é ü\nü 北京\n"
         assert dump_edge_list(loads_edge_list(once)) == once
+
+    @pytest.mark.parametrize("labels, bad", [
+        (("x y", "#c", "d"), "x y"),
+        (("x", "#c", "d"), "#c"),
+        (("x", "", "d"), ""),
+        (("x", "c\t", "d"), "c\t"),
+    ])
+    def test_unwritable_labels_are_refused(self, labels, bad):
+        # such a label writes a line that fails to parse or reads as a comment
+        g = DirectedGraph.from_edges([(0, 1), (1, 2)], labels=labels)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            dump_edge_list(g)
 
     @settings(max_examples=60, deadline=None)
     @given(edge_pairs)
