@@ -12,6 +12,11 @@ guarantee.
 Each estimator supplies only its draw, its budget, its contribution bound
 and its gap terms; ``run_sampling_loop`` runs the draws, applies the stopping
 rule and builds the ``Estimate``.
+
+The estimators draw through ``RawDraws``, which reads the generator's PCG64
+stream in blocks of raw 64-bit words and turns them into exactly the values
+``Generator.integers`` and ``Generator.bytes`` would return, at a fraction
+of the cost of a scalar numpy call.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "stopping_terms",
     "run_sampling_loop",
     "make_rng",
+    "RawDraws",
 ]
 
 
@@ -188,6 +194,97 @@ def make_rng(seed: int | None) -> tuple[np.random.Generator, int]:
     return np.random.default_rng(seed), seed
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_RAW_BLOCK = 1024
+
+
+class RawDraws:
+    """Bounded integer and byte draws replayed from a PCG64 generator's raw words.
+
+    Returns, as Python ints, the values the wrapped ``Generator`` would give
+    for the same calls, and leaves it advanced past them: once wrapped, the
+    generator must not be drawn from directly. numpy's scalar ``integers(m)``
+    uses Lemire's rejection method (*Fast Random Integer Generation in an
+    Interval*, ACM TOMACS 2019):
+
+    * m = 1 draws nothing;
+    * m < 2**32 takes one 32-bit half-word, the low half of a fresh 64-bit
+      word or the high half held back from the last one, and rejects it
+      when its scaled remainder falls below (2**32 - m) mod m;
+    * m = 2**32 returns a half-word as it is;
+    * a larger m takes a fresh full word (the held-back half stays held)
+      and applies the 64-bit form.
+
+    ``integers(lo, hi)`` is lo plus a draw over hi - lo, and ``bytes(n)``
+    joins ceil(n / 4) half-words, little-endian, cut to n bytes.
+    """
+
+    __slots__ = ("_bit_generator", "_words", "_half")
+
+    def __init__(self, rng: np.random.Generator):
+        state = rng.bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise TypeError(f"raw draws replay PCG64, got {state['bit_generator']}")
+        self._bit_generator = rng.bit_generator
+        self._words = iter(())
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _word(self) -> int:
+        word = next(self._words, None)
+        if word is None:
+            self._words = iter(self._bit_generator.random_raw(_RAW_BLOCK).tolist())
+            word = next(self._words)
+        return word
+
+    def _half_word(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & _MASK32
+        self._half = None
+        return half
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """Uniform int in [low, high), or in [0, low) when ``high`` is None."""
+        if high is None:
+            low, high = 0, low
+        m = high - low
+        if m < 2:
+            if m == 1:
+                return low
+            raise ValueError(f"empty range [{low}, {high})")
+        if m < 0x100000000:
+            # _half_word inlined: this is the draw every sample makes
+            half = self._half
+            if half is None:
+                word = self._word()
+                self._half = word >> 32
+                half = word & _MASK32
+            else:
+                self._half = None
+            x = half * m
+            if x & _MASK32 < m:
+                threshold = (0x100000000 - m) % m
+                while x & _MASK32 < threshold:
+                    x = self._half_word() * m
+            return low + (x >> 32)
+        if m == 0x100000000:
+            return low + self._half_word()
+        x = self._word() * m
+        if x & _MASK64 < m:
+            threshold = ((1 << 64) - m) % m
+            while x & _MASK64 < threshold:
+                x = self._word() * m
+        return low + (x >> 64)
+
+    def bytes(self, length: int) -> bytes:
+        """``length`` random bytes, as ``Generator.bytes`` gives them."""
+        halves = [self._half_word() for _ in range((length + 3) // 4)]
+        return b"".join(h.to_bytes(4, "little") for h in halves)[:length]
+
+
 # Relative slack on the tolerance when choosing which checks to skip. The
 # gap formula loses a few ulps to rounding, and the running sum a few more;
 # 1e-9 dwarfs both, so a skipped check never hides a pass of the real one.
@@ -252,8 +349,8 @@ def run_sampling_loop(
     count tau with running sum S, :func:`next_check` bisects for the first
     t' at which the upper term b(S, t') = gap_terms(S / t', t')[1] reaches
     the tolerance λ (plus a relative margin of 1e-9), and the checks at
-    tau + 1 .. t' - 1 are skipped. None of them could pass, given two
-    properties of the upper term that ``stopping_terms`` has:
+    tau + 1 .. t' - 1 are skipped. None of them could pass, given four
+    facts about the stop and the upper term of ``stopping_terms``:
 
     * a stop needs b <= λ;
     * for a fixed S, b does not increase with the sample count t: in

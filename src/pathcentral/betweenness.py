@@ -19,6 +19,7 @@ from functools import partial
 from .adaptive import (
     Estimate,
     EstimatorConfig,
+    RawDraws,
     compute_sample_budget,
     degenerate_estimate,
     gap_term_risk,
@@ -54,7 +55,8 @@ def _pair_loop(
     non-root vertices and contributes 1.
     """
     started = time.perf_counter()
-    rng, seed = make_rng(cfg.seed)
+    generator, seed = make_rng(cfg.seed)
+    rng = RawDraws(generator)
 
     # Past this check both restricted pools are non-empty: graphs hold no
     # self-loops, so an in-neighbour is upstream and an out-neighbour downstream.

@@ -8,12 +8,20 @@ labels are retained so output can be expressed in the caller's terms.
 Graphs are unweighted, loop-free and duplicate-free by construction, and
 never mutated after construction, so a single instance can be shared freely
 across concurrent estimator runs.
+
+Breadth-first searches run in scipy's C traversal over a CSR form of the
+adjacency. A graph builds that form, forward and reverse, on its first
+search and keeps it, so parsing never pays for it; ``bfs_distances``
+returns the same dict, in the same order, as a queue-driven search over
+the sorted adjacency tuples.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import accumulate, chain
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from .errors import GraphParseError
 
@@ -38,6 +46,7 @@ class DirectedGraph:
         "_fwd",
         "_rev",
         "_label_to_id",
+        "_search_csr",
     )
 
     def __init__(
@@ -55,6 +64,7 @@ class DirectedGraph:
         self.duplicates_dropped = duplicates_dropped
         self._fwd = forward
         self._rev = reverse
+        self._search_csr = None
         self._label_to_id = {lab: v for v, lab in enumerate(labels)}
         if len(self._label_to_id) != len(labels):
             dup = next(lab for v, lab in enumerate(labels) if self._label_to_id[lab] != v)
@@ -160,23 +170,39 @@ class DirectedGraph:
         return self.labels[v]
 
     def to_csr(self):
-        """Adjacency as a scipy CSR matrix of ones (lazy import)."""
-        import numpy as np
-        from scipy import sparse
+        """Adjacency as a fresh scipy CSR matrix of ``int8`` ones."""
+        return _csr_of(self._fwd, np.ones(self.edge_count, dtype=np.int8))
 
-        rows = []
-        cols = []
-        for u, v in self.edges():
-            rows.append(u)
-            cols.append(v)
-        n = self.vertex_count
-        data = np.ones(len(rows), dtype=np.int8)
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    def _search_matrices(self):
+        """Forward and reverse CSR adjacency for the BFS, built on first use.
+
+        The traversal reads only the structure, so the data are a single
+        float64 one broadcast over the edges: float64 is the dtype scipy's
+        traversal converts to, so a search copies nothing, and the data
+        take no memory per edge.
+        """
+        if self._search_csr is None:
+            ones = np.broadcast_to(1.0, self.edge_count)
+            self._search_csr = (_csr_of(self._fwd, ones), _csr_of(self._rev, ones))
+        return self._search_csr
 
     def __repr__(self) -> str:
         return (
             f"DirectedGraph(vertices={self.vertex_count}, edges={self.edge_count})"
         )
+
+
+def _csr_of(adj: tuple[tuple[int, ...], ...], data: np.ndarray):
+    """CSR matrix with one row per adjacency tuple, its columns in order.
+
+    ``data`` holds one entry per edge, in the same order.
+    """
+    from scipy import sparse
+
+    n = len(adj)
+    indptr = np.fromiter(accumulate(map(len, adj), initial=0), dtype=np.int32, count=n + 1)
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=len(data))
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def load_edge_list(stream: IO[str]) -> DirectedGraph:
@@ -240,22 +266,30 @@ def bfs_distances(g: DirectedGraph, source: int, direction: str = "forward") -> 
     """Hop distances from ``source``; unreachable vertices are absent.
 
     ``direction="reverse"`` walks edges backwards, i.e. computes distances
-    *to* ``source`` in the original orientation.
+    *to* ``source`` in the original orientation. The dict lists vertices
+    in the order a FIFO search over the sorted adjacency visits them.
+
+    scipy's ``breadth_first_order`` visits in exactly that queue order, so
+    its order is level order and the positions of the parents along it
+    never decrease. Level L + 1 is then the run of vertices after level L
+    whose parents lie in level L, and one ``searchsorted`` per level finds
+    where it ends.
     """
+    from scipy.sparse.csgraph import breadth_first_order
+
     g._check(source)
     if direction == "forward":
-        adj = g._fwd
+        csr = g._search_matrices()[0]
     elif direction == "reverse":
-        adj = g._rev
+        csr = g._search_matrices()[1]
     else:
         raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+    order, parent = breadth_first_order(csr, source, directed=True, return_predecessors=True)
+    position = np.empty(g.vertex_count, dtype=np.intp)
+    position[order] = np.arange(len(order))
+    parent_position = position[parent[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(1 + int(np.searchsorted(parent_position, ends[-1])))
+    depth = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return dict(zip(order.tolist(), depth.tolist()))

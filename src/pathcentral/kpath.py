@@ -29,6 +29,7 @@ from functools import partial
 
 from .adaptive import (
     Estimate,
+    RawDraws,
     check_accuracy,
     check_count,
     degenerate_estimate,
@@ -238,7 +239,8 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
     a walk, consuming the same random words ``sample_walk`` would.
     """
     started = time.perf_counter()
-    rng, seed = make_rng(cfg.seed)
+    generator, seed = make_rng(cfg.seed)
+    rng = RawDraws(generator)
 
     if g.in_degree(root) == 0:
         return degenerate_estimate(seed, started)

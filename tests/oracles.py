@@ -286,6 +286,24 @@ def coverage_by_enumeration(g: DirectedGraph, root: int) -> Fraction:
     return Fraction(count, n * (n - 1))
 
 
+def bfs_distances_by_queue(g: DirectedGraph, source: int, direction: str = "forward") -> dict:
+    """Hop distances from ``source`` by a FIFO search over the sorted adjacency.
+
+    The reference for ``bfs_distances``: the same dict, with vertices in the
+    order the queue visits them.
+    """
+    neighbors = g.out_neighbors if direction == "forward" else g.in_neighbors
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in neighbors(u):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def scipy_distance_matrix(g: DirectedGraph):
     """All-pairs hop distances via scipy (test-side independent route)."""
     from scipy.sparse import csgraph

@@ -1,6 +1,8 @@
 import math
+import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from pathcentral.adaptive import (
     CompensatedSum,
     Estimate,
     EstimatorConfig,
+    RawDraws,
     compute_sample_budget,
     gap_term_risk,
     make_rng,
@@ -148,6 +151,52 @@ class TestRng:
         assert s1 != s2
         replay, _ = make_rng(s1)
         assert replay.integers(10**9) == g1.integers(10**9)
+
+
+class TestRawDraws:
+    # both sides of the 32-bit and 64-bit paths and their boundaries
+    BOUNDS = (1, 2, 7, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_numpy_over_interleaved_calls(self, seed):
+        numpy_side = np.random.default_rng(seed)
+        raw = RawDraws(np.random.default_rng(seed))
+        pick = random.Random(seed)
+        for _ in range(5000):
+            kind = pick.randrange(5)
+            if kind == 0:
+                args = (pick.choice(self.BOUNDS),)
+            elif kind == 1:
+                args = (pick.randrange(1, 2 ** pick.randrange(1, 64)),)
+            elif kind == 2:
+                low = pick.randrange(-2**40, 2**40)
+                args = (low, low + pick.randrange(1, 2 ** pick.randrange(1, 40)))
+            elif kind == 3:
+                n = pick.randrange(1, 20)
+                assert raw.bytes(n) == numpy_side.bytes(n)
+                continue
+            else:
+                # a bound of 1 takes no word: the next draw still matches
+                assert raw.integers(1) == 0
+                continue
+            value = raw.integers(*args)
+            assert type(value) is int
+            assert value == numpy_side.integers(*args)
+
+    def test_picks_up_a_held_half_word(self):
+        used = np.random.default_rng(5)
+        reference = np.random.default_rng(5)
+        assert used.integers(10) == reference.integers(10)
+        raw = RawDraws(used)
+        assert [raw.integers(10) for _ in range(5)] == [reference.integers(10) for _ in range(5)]
+
+    def test_refusals(self):
+        raw = RawDraws(np.random.default_rng(0))
+        for args in [(0,), (-3,), (5, 5), (5, 4)]:
+            with pytest.raises(ValueError):
+                raw.integers(*args)
+        with pytest.raises(TypeError):
+            RawDraws(np.random.Generator(np.random.MT19937(0)))
 
 
 def run_loop(draw, budget, gap_terms):

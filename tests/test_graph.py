@@ -1,4 +1,5 @@
 import io
+import pickle
 import re
 
 import pytest
@@ -14,9 +15,15 @@ from pathcentral.graph import (
     loads_edge_list,
 )
 
+from oracles import bfs_distances_by_queue
+
 edge_pairs = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40
 )
+
+# Every label dump_edge_list accepts: one whitespace-free token, no leading "#".
+writable_labels = st.text(min_size=1, max_size=5).filter(
+    lambda lab: lab.split() == [lab] and not lab.startswith("#"))
 
 
 def by_label(g: DirectedGraph, *labels: str):
@@ -159,6 +166,15 @@ class TestDegreesAndEdges:
         m = diamond.to_csr()
         assert m.shape == (4, 4)
         assert m.nnz == diamond.edge_count
+        assert m.dtype == "int8"
+        assert {(u, v) for u, v in zip(*m.nonzero())} == set(diamond.edges())
+        # each call is a fresh matrix: writing to one changes neither the
+        # next call nor the graph's searches
+        s = by_label(diamond, "s")
+        before = bfs_distances(diamond, s)
+        m.data[:] = 0
+        assert diamond.to_csr().data.tolist() == [1] * diamond.edge_count
+        assert bfs_distances(diamond, s) == before
 
 
 class TestBfs:
@@ -186,6 +202,28 @@ class TestBfs:
         assert bfs_distances(g, source, direction="reverse") == bfs_distances(
             flipped, source, direction="forward"
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(edge_pairs)
+    def test_same_dict_in_the_same_order_as_a_queue_search(self, pairs):
+        # vertices 8 and 9 are isolated, and the lists leave sinks and sources
+        g = DirectedGraph.from_edges(pairs, vertex_count=10)
+        for direction in ("forward", "reverse"):
+            for v in g.vertices():
+                expected = bfs_distances_by_queue(g, v, direction)
+                assert list(bfs_distances(g, v, direction).items()) == list(expected.items())
+
+    def test_pickles_before_and_after_the_first_search(self, shortcut):
+        # bench pool workers receive their graphs pickled
+        expected = {d: [bfs_distances_by_queue(shortcut, v, d) for v in shortcut.vertices()]
+                    for d in ("forward", "reverse")}
+        for _ in range(2):
+            copy = pickle.loads(pickle.dumps(shortcut))
+            assert copy.labels == shortcut.labels
+            for d, dists in expected.items():
+                assert [list(bfs_distances(copy, v, d).items()) for v in copy.vertices()] == [
+                    list(dist.items()) for dist in dists]
+                assert [bfs_distances(shortcut, v, d) for v in shortcut.vertices()] == dists
 
     @settings(max_examples=40, deadline=None)
     @given(edge_pairs, st.integers(0, 7))
@@ -231,10 +269,9 @@ class TestRoundTrip:
             dump_edge_list(g)
 
     @settings(max_examples=60, deadline=None)
-    @given(edge_pairs)
-    def test_round_trip_arbitrary_graphs(self, pairs):
-        labels = tuple(f"v{i}" for i in range(8))
-        g = DirectedGraph.from_edges(pairs, vertex_count=8, labels=labels)
+    @given(edge_pairs, st.lists(writable_labels, min_size=8, max_size=8, unique=True))
+    def test_round_trip_arbitrary_graphs(self, pairs, labels):
+        g = DirectedGraph.from_edges(pairs, vertex_count=8, labels=tuple(labels))
         text = dump_edge_list(g)
         if not text:
             return
@@ -245,5 +282,5 @@ class TestRoundTrip:
         # reloading may renumber vertices (labels are interned in appearance
         # order), so only the labeled structure is preserved, and exactly
         # the vertices that touch an edge survive the text form
-        assert again.vertex_count == len({lab for e in original for lab in e})
+        assert set(again.labels) == {lab for e in original for lab in e}
         assert again.edge_count == g.edge_count
