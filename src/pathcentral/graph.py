@@ -13,7 +13,10 @@ Breadth-first searches run in scipy's C traversal over a CSR form of the
 adjacency. A graph builds that form, forward and reverse, on its first
 search and keeps it, so parsing never pays for it; ``bfs_distances``
 returns the same dict, in the same order, as a queue-driven search over
-the sorted adjacency tuples.
+the sorted adjacency tuples. The same traversal fills a second lazily
+built structure, the hop distances to and from the graph's ``LANDMARKS``
+highest-degree vertices, which the shortest-path gate reads to rule out
+pairs without a search.
 """
 
 from __future__ import annotations
@@ -33,9 +36,23 @@ __all__ = [
     "bfs_distances",
 ]
 
+# Vertices of highest in + out degree whose hop distances a graph keeps.
+LANDMARKS = 16
+# A stored landmark distance saturates here: 255 means 255 or more hops, or
+# no path at all.
+FAR = 255
+
 
 class DirectedGraph:
-    """Directed graph stored as sorted forward and reverse adjacency tuples."""
+    """Directed graph stored as sorted forward and reverse adjacency tuples.
+
+    Two search structures are built on first use and kept, never while
+    parsing: the forward and reverse CSR adjacency that the BFS runs on
+    (``_search_matrices``), and the landmark distance table that the
+    shortest-path gate reads (``_landmark_distances``). Both pickle with
+    the graph, so a pool worker that receives a graph after its first
+    search or gate gets them as they are.
+    """
 
     __slots__ = (
         "vertex_count",
@@ -47,6 +64,7 @@ class DirectedGraph:
         "_rev",
         "_label_to_id",
         "_search_csr",
+        "_landmark_table",
     )
 
     def __init__(
@@ -65,6 +83,7 @@ class DirectedGraph:
         self._fwd = forward
         self._rev = reverse
         self._search_csr = None
+        self._landmark_table = None
         self._label_to_id = {lab: v for v, lab in enumerate(labels)}
         if len(self._label_to_id) != len(labels):
             dup = next(lab for v, lab in enumerate(labels) if self._label_to_id[lab] != v)
@@ -186,6 +205,34 @@ class DirectedGraph:
             self._search_csr = (_csr_of(self._fwd, ones), _csr_of(self._rev, ones))
         return self._search_csr
 
+    def _landmark_distances(self) -> tuple[bytes, bytes, int]:
+        """Hop distances to and from the landmarks, built on first use.
+
+        The landmarks are the ``LANDMARKS`` vertices of highest in + out
+        degree, ties broken by the lower id (all vertices on a smaller
+        graph). Returns ``(to_landmark, from_landmark, width)`` with
+        ``width`` the landmark count: bytes ``v * width`` to
+        ``(v + 1) * width`` of ``to_landmark`` hold d(v, h) for each
+        landmark h, and the same bytes of ``from_landmark`` hold d(h, v).
+        Distances saturate at ``FAR``.
+        """
+        if self._landmark_table is None:
+            n = self.vertex_count
+            forward, reverse = self._search_matrices()
+            degree = np.diff(forward.indptr) + np.diff(reverse.indptr)
+            # a stable sort keeps equal degrees in id order
+            landmarks = np.argsort(-degree, kind="stable")[:LANDMARKS]
+            tables = []
+            # a reverse search from h gives d(v, h), a forward one d(h, v)
+            for csr in (reverse, forward):
+                table = np.full((n, len(landmarks)), FAR, dtype=np.uint8)
+                for i, h in enumerate(landmarks):
+                    order, depth = _bfs_levels(csr, h)
+                    table[order, i] = np.minimum(depth, FAR)
+                tables.append(table.tobytes())
+            self._landmark_table = (*tables, len(landmarks))
+        return self._landmark_table
+
     def __repr__(self) -> str:
         return (
             f"DirectedGraph(vertices={self.vertex_count}, edges={self.edge_count})"
@@ -275,8 +322,6 @@ def bfs_distances(g: DirectedGraph, source: int, direction: str = "forward") -> 
     whose parents lie in level L, and one ``searchsorted`` per level finds
     where it ends.
     """
-    from scipy.sparse.csgraph import breadth_first_order
-
     g._check(source)
     if direction == "forward":
         csr = g._search_matrices()[0]
@@ -284,12 +329,21 @@ def bfs_distances(g: DirectedGraph, source: int, direction: str = "forward") -> 
         csr = g._search_matrices()[1]
     else:
         raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
+    order, depth = _bfs_levels(csr, source)
+    return dict(zip(order.tolist(), depth.tolist()))
+
+
+def _bfs_levels(csr, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """Visit order of a BFS over ``csr`` from ``source``, and each visited
+    vertex's depth, as two arrays; see :func:`bfs_distances`."""
+    from scipy.sparse.csgraph import breadth_first_order
+
     order, parent = breadth_first_order(csr, source, directed=True, return_predecessors=True)
-    position = np.empty(g.vertex_count, dtype=np.intp)
+    position = np.empty(csr.shape[0], dtype=np.intp)
     position[order] = np.arange(len(order))
     parent_position = position[parent[order[1:]]]
     ends = [1]
     while ends[-1] < len(order):
         ends.append(1 + int(np.searchsorted(parent_position, ends[-1])))
     depth = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
-    return dict(zip(order.tolist(), depth.tolist()))
+    return order, depth

@@ -14,6 +14,13 @@ ever score zero, because a self-avoiding walk needs at least d(u, root)
 hops to get there. Stopping it draws nothing more, so each sample keeps its
 law and only hopeless walks get cheaper.
 
+A step never scans the current vertex's out-list. The list, sorted and
+restricted to the domain, is fixed for the run, and the at most k + 1
+visited vertices are found in it by bisection: the candidates are the
+list minus those, and the drawn index steps past their positions. That
+gives the same candidates in the same order as a scan, so a seeded walk
+takes the same draws and the same steps.
+
 Both the draw probability and the weight are products of reciprocals of
 small integers, so they are carried as integer denominator products and
 only combined at the end: the per-sample contribution is an exact integer
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 from functools import partial
 
@@ -112,28 +120,36 @@ class WalkSample:
 
 
 class _WalkSpace:
-    """Reusable scratch: domain bitmap, distances to the root, and
-    epoch-stamped visited marks.
+    """Reusable scratch: the out-lists restricted to the root's domain, and
+    distances to the root.
+
+    ``adj[u]`` is u's sorted out-list with the vertices outside the domain
+    left out, for every u a walk can stand on. When the domain is every
+    vertex it is ``g._fwd`` itself. Otherwise only the lists of upstream
+    vertices that are not downstream are filtered, once per run: the root
+    also reaches the out-neighbours of every vertex it reaches, so the
+    other lists of domain vertices stay inside the domain.
 
     ``to_root[v]`` is the hop count from v to the root, or one more than
     the vertex count when v is not upstream (no walk from v can reach the
-    root). Stamping makes clearing the visited set O(1) per walk, which
-    keeps the per-sample memory footprint at a few integers per vertex
-    regardless of how many walks a run draws.
+    root).
     """
 
-    __slots__ = ("in_domain", "to_root", "stamp", "epoch")
+    __slots__ = ("adj", "to_root")
 
     def __init__(self, g: DirectedGraph, reach: ReachabilityInfo):
         n = g.vertex_count
-        self.in_domain = bytearray(n)
-        for v in reach.domain:
-            self.in_domain[v] = 1
+        domain = reach.domain
+        if len(domain) == n:
+            self.adj = g._fwd
+        else:
+            adj = list(g._fwd)
+            for u in reach.upstream - reach.downstream:
+                adj[u] = tuple(v for v in adj[u] if v in domain)
+            self.adj = adj
         self.to_root = [n + 1] * n
         for v, d in reach.dist_to_root.items():
             self.to_root[v] = d
-        self.stamp = [0] * n
-        self.epoch = 0
 
 
 def compute_walk_budget(
@@ -178,14 +194,11 @@ def sample_walk(
         raise ValueError("walk sources must lie in the root's upstream set")
     if space is None:
         space = _WalkSpace(g, reach)
-    space.epoch += 1
-    epoch = space.epoch
-    stamp = space.stamp
-    in_domain = space.in_domain
+    adj = space.adj
+    fwd = g._fwd
     to_root = space.to_root
     root = reach.root
 
-    stamp[source] = epoch
     path = [source]
     current = source
     prob_den = 1
@@ -198,22 +211,28 @@ def sample_walk(
         if not contains and to_root[current] > steps_left:
             completed = False
             break
-        neighbors = g._fwd[current]
-        candidates = [v for v in neighbors if in_domain[v] and stamp[v] != epoch]
-        if not candidates:
+        neighbors = adj[current]
+        # positions of the visited vertices in the sorted out-list
+        taken = []
+        for v in path:
+            i = bisect_left(neighbors, v)
+            if i < len(neighbors) and neighbors[i] == v:
+                taken.append(i)
+        count = len(neighbors) - len(taken)
+        if not count:
             completed = False
             break
-        if restricted:
-            step_weight = len(candidates)
-        else:
-            step_weight = sum(1 for v in neighbors if stamp[v] != epoch)
-        prob_den *= len(candidates)
-        weight_den *= step_weight
-        if len(candidates) == 1:
-            current = candidates[0]
-        else:
-            current = candidates[int(rng.integers(len(candidates)))]
-        stamp[current] = epoch
+        prob_den *= count
+        # visited vertices all lie in the domain, so the full out-list
+        # holds the same ones
+        weight_den *= count if restricted else len(fwd[current]) - len(taken)
+        pick = int(rng.integers(count)) if count > 1 else 0
+        # the pick-th unvisited entry: step past the visited positions
+        for i in sorted(taken):
+            if i > pick:
+                break
+            pick += 1
+        current = neighbors[pick]
         path.append(current)
         if current == root:
             contains = True

@@ -60,7 +60,7 @@ def compute_reachability(g: DirectedGraph, root: int) -> ReachabilityInfo:
     dist_from_root = bfs_distances(g, root, direction="forward")
     upstream = frozenset(dist_to_root) - {root}
     downstream = frozenset(dist_from_root) - {root}
-    domain = upstream | {root} | downstream
+    domain = frozenset(dist_to_root).union(dist_from_root)
 
     if n < 2:
         pair_fraction = Fraction(0)
@@ -68,8 +68,9 @@ def compute_reachability(g: DirectedGraph, root: int) -> ReachabilityInfo:
         pair_fraction = Fraction(len(upstream) * len(downstream), n * (n - 1))
     source_fraction = Fraction(len(upstream), n)
 
-    rev_depth = max(dist_to_root.values())
-    fwd_depth = max(dist_from_root.values())
+    # both maps list vertices in level order, so the deepest comes last
+    rev_depth = next(reversed(dist_to_root.values()))
+    fwd_depth = next(reversed(dist_from_root.values()))
     bound = max(rev_depth + fwd_depth + 1, 2)
 
     return ReachabilityInfo(

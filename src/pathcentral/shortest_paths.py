@@ -26,18 +26,26 @@ well, so a meeting vertex carries both sides' labels. It then builds
 predecessor tuples for the structure's vertices alone, along forward
 parent links from the meeting set back to s and along backward parent
 links on to t. Its result is the same, tuple order included, as that of
-a search that keeps a predecessor list for every labelled vertex. The
-betweenness estimator runs the distance search as a gate before the
-builder, on the same scratch: the root can only be on a drawn path when
-it is on some shortest path.
+a search that keeps a predecessor list for every labelled vertex.
+
+The membership gate, d(s, r) + d(r, t) = d(s, t), is the coverage test,
+and the betweenness estimator runs it before the builder, on the same
+scratch: the root can only be on a drawn path when it is on some shortest
+path. Most drawn pairs fail it, and most failures are proved without a
+search, from the graph's table of distances to and from its
+highest-degree vertices: a detour through such a vertex that is shorter
+than the route through the root shows d(s, t) is shorter too (the upper
+bound of landmark distance estimation). The gate draws no random words
+and gives the answer the search would give, so no sample's law moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping
 
-from .graph import DirectedGraph
+from .graph import FAR, DirectedGraph
 from .reachability import ReachabilityInfo
 
 __all__ = [
@@ -393,13 +401,25 @@ def on_some_shortest_path(
 ) -> bool:
     """True iff ``reach.root`` lies on at least one shortest source-target path.
 
-    Pure distance test: d(source, root) + d(root, target) == d(source,
-    target), with the two legs read off the precomputed reachability maps.
-    ``space`` is passed on to :func:`shortest_path_length`.
+    Pure distance test: L = d(source, root) + d(root, target) equals
+    d(source, target), with the two legs read off the precomputed
+    reachability maps. Before it searches, the test reads the graph's
+    landmark table (:meth:`DirectedGraph._landmark_distances`): a landmark
+    h with d(source, h) + d(h, target) < L proves d(source, target) < L,
+    so the answer is False with no search. The table is read only when
+    L < ``FAR``; a sum below L then holds no saturated entry. Otherwise,
+    or when no landmark proves it, ``space`` is passed on to
+    :func:`shortest_path_length`, whose distance decides.
     """
     to_root = reach.dist_to_root.get(source)
     from_root = reach.dist_from_root.get(target)
     if to_root is None or from_root is None:
         return False
+    length = to_root + from_root
+    if length < FAR:
+        to_landmark, from_landmark, width = g._landmark_distances()
+        i, j = source * width, target * width
+        if min(map(add, to_landmark[i:i + width], from_landmark[j:j + width])) < length:
+            return False
     d = shortest_path_length(g, source, target, space)
-    return d is not None and to_root + from_root == d
+    return d is not None and length == d

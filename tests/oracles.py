@@ -304,6 +304,54 @@ def bfs_distances_by_queue(g: DirectedGraph, source: int, direction: str = "forw
     return dist
 
 
+def sample_walk_by_scanning(g: DirectedGraph, reach, source: int, target_length: int,
+                            rng, weight: str = "original"):
+    """One walk as ``sample_walk`` grows it, each step scanning the out-list.
+
+    The reference for ``sample_walk``: every step filters the current
+    vertex's full out-list for unvisited domain vertices, draws an index
+    into that list (no draw for a single candidate) and, for the original
+    weighting, counts the unvisited out-neighbours in a second scan.
+    """
+    from pathcentral.kpath import WalkSample
+
+    beyond = g.vertex_count + 1
+    visited = {source}
+    path = [source]
+    prob_den = weight_den = 1
+    contains = False
+    completed = True
+    for steps_left in range(target_length, 0, -1):
+        if not contains and reach.dist_to_root.get(path[-1], beyond) > steps_left:
+            completed = False
+            break
+        neighbors = g.out_neighbors(path[-1])
+        candidates = [v for v in neighbors if v in reach.domain and v not in visited]
+        if not candidates:
+            completed = False
+            break
+        prob_den *= len(candidates)
+        if weight == "restricted":
+            weight_den *= len(candidates)
+        else:
+            weight_den *= sum(1 for v in neighbors if v not in visited)
+        if len(candidates) == 1:
+            current = candidates[0]
+        else:
+            current = candidates[int(rng.integers(len(candidates)))]
+        visited.add(current)
+        path.append(current)
+        contains = contains or current == reach.root
+    return WalkSample(
+        vertices=tuple(path),
+        target_length=target_length,
+        completed=completed,
+        contains_mark=contains,
+        probability_denominator=prob_den,
+        weight_denominator=weight_den,
+    )
+
+
 def scipy_distance_matrix(g: DirectedGraph):
     """All-pairs hop distances via scipy (test-side independent route)."""
     from scipy.sparse import csgraph

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcentral.errors import GraphParseError
+from pathcentral.generate import hub_digraph
 from pathcentral.graph import (
     DirectedGraph,
     bfs_distances,
@@ -14,6 +15,8 @@ from pathcentral.graph import (
     load_edge_list,
     loads_edge_list,
 )
+from pathcentral.reachability import compute_reachability
+from pathcentral.shortest_paths import on_some_shortest_path
 
 from oracles import bfs_distances_by_queue
 
@@ -224,6 +227,23 @@ class TestBfs:
                 assert [list(bfs_distances(copy, v, d).items()) for v in copy.vertices()] == [
                     list(dist.items()) for dist in dists]
                 assert [bfs_distances(shortcut, v, d) for v in shortcut.vertices()] == dists
+
+    def test_landmark_table_is_built_by_the_first_gate_and_pickled(self):
+        # parsing builds neither search structure: setup time stays parsing
+        g = loads_edge_list(dump_edge_list(hub_digraph(40, seed=4)))
+        assert g._search_csr is None and g._landmark_table is None
+        fresh = pickle.loads(pickle.dumps(g))
+        triples = [(s, t, r) for r in g.vertices()[::3] for s in g.vertices()
+                   for t in g.vertices() if s != t]
+        reaches = {r: compute_reachability(g, r) for r in g.vertices()[::3]}
+        answers = [on_some_shortest_path(g, s, t, reaches[r]) for s, t, r in triples]
+        assert g._landmark_table is not None
+        # a pool worker receives the graph pickled with its table
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy._landmark_table == g._landmark_table
+        for h in (copy, fresh):
+            assert [on_some_shortest_path(h, s, t, reaches[r]) for s, t, r in triples] == answers
+        assert fresh._landmark_table == g._landmark_table
 
     @settings(max_examples=40, deadline=None)
     @given(edge_pairs, st.integers(0, 7))

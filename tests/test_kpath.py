@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcentral.adaptive import CompensatedSum
+from pathcentral.adaptive import CompensatedSum, RawDraws
 from pathcentral.exact import exact_kpath
 from pathcentral.generate import random_digraph
 from pathcentral.graph import DirectedGraph, loads_edge_list
 from pathcentral.kpath import (
     KPathConfig,
+    _WalkSpace,
     compute_walk_budget,
     estimate_kpath_centrality,
     sample_walk,
 )
 from pathcentral.reachability import compute_reachability
 
-from oracles import WALK_BUDGET_FULL, WALK_BUDGET_HALF
+from oracles import WALK_BUDGET_FULL, WALK_BUDGET_HALF, sample_walk_by_scanning
 
 
 def kcfg(k=2, **kwargs):
@@ -235,6 +236,45 @@ def test_estimate_matches_a_replay_through_sample_walk(pairs, root, k, seed):
             hits += 1
     assert est.hits == hits
     assert est.value == acc.value / tau
+
+
+def hub_walk_graph(n, edge_prob, hubs, cycle, seed):
+    """A sparse random digraph with ``hubs`` vertices of out-degree above 50;
+    ``cycle`` adds 0 -> 1 -> ... -> n-1 -> 0, so every domain is every vertex."""
+    pick = np.random.default_rng(seed)
+    edges = [tuple(e) for e in np.argwhere(pick.random((n, n)) < edge_prob).tolist()]
+    for h in pick.choice(n, hubs, replace=False).tolist():
+        edges += [(h, int(v)) for v in pick.choice(n, pick.integers(51, n), replace=False)]
+        edges += [(int(u), h) for u in pick.choice(n, 3, replace=False)]
+    if cycle:
+        edges += [(v, (v + 1) % n) for v in range(n)]
+    return DirectedGraph.from_edges(edges, vertex_count=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(60, 120), st.sampled_from([0.01, 0.03]), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1), st.sampled_from(["original", "restricted"]), st.booleans())
+def test_walk_equals_the_scanning_reference(n, edge_prob, hubs, cycle, seed, weight, raw):
+    g = hub_walk_graph(n, edge_prob, hubs, cycle, seed)
+    # the busiest vertex, whose walks run through the hubs, and one at random
+    busiest = max(g.vertices(), key=lambda v: (g.in_degree(v) + g.out_degree(v), -v))
+    for root in (busiest, seed % n):
+        reach = compute_reachability(g, root)
+        if not reach.upstream:
+            continue
+        assert (len(reach.domain) == n) or not cycle
+        sources = sorted(reach.upstream)
+        space = _WalkSpace(g, reach)
+        # a plain Generator hands out numpy ints, RawDraws Python ints
+        streams = [np.random.default_rng(seed + root) for _ in range(2)]
+        if raw:
+            streams = [RawDraws(rng) for rng in streams]
+        ours, reference = streams
+        for i in range(60):
+            s, length = sources[i % len(sources)], 1 + i % 8
+            assert sample_walk(g, reach, s, length, ours, weight, space) == (
+                sample_walk_by_scanning(g, reach, s, length, reference, weight))
+        assert ours.integers(2**40) == reference.integers(2**40)
 
 
 class TestKPathEstimates:

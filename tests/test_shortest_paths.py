@@ -265,3 +265,79 @@ class TestMembershipCheck:
         reach = compute_reachability(g, r)
         expected = any(r in p for p in shortest_paths_by_enumeration(g, s, t))
         assert on_some_shortest_path(g, s, t, reach) == expected
+
+
+def gate_by_search(g, s, t, reach):
+    """The membership gate with no landmark table: legs, then one search."""
+    to_root = reach.dist_to_root.get(s)
+    from_root = reach.dist_from_root.get(t)
+    if to_root is None or from_root is None:
+        return False
+    return shortest_path_length(g, s, t) == to_root + from_root
+
+
+# 20-80 vertices: most vertices are not landmarks, so the table decides some
+# failing pairs and the search the rest.
+gate_graphs = st.one_of(
+    st.builds(random_digraph, st.integers(20, 80), st.sampled_from([0.03, 0.06, 0.1]),
+              seed=st.integers(0, 10**6)),
+    st.builds(hub_digraph, st.integers(20, 80), st.integers(1, 2), st.integers(1, 2),
+              seed=st.integers(0, 10**6)),
+    st.builds(layered_dag, st.integers(4, 8), st.integers(5, 10),
+              st.sampled_from([0.3, 0.6, 0.9]), seed=st.integers(0, 10**6)),
+)
+
+
+class TestLandmarkGate:
+    @settings(max_examples=60, deadline=None)
+    @given(gate_graphs, st.floats(0, 1, exclude_max=True), st.integers(0, 2**32 - 1))
+    def test_equals_the_search(self, g, at, seed):
+        n = g.vertex_count
+        reach = compute_reachability(g, int(at * n))
+        space = _SearchSpace(g)
+        pick = np.random.default_rng(seed)
+        # every upstream x downstream pair when there are few, else a draw
+        pairs = [(s, t) for s in reach.upstream for t in reach.downstream if s != t]
+        if len(pairs) > 400:
+            pairs = [pairs[i] for i in pick.choice(len(pairs), 400, replace=False)]
+        pairs += [tuple(map(int, pick.integers(n, size=2))) for _ in range(50)]
+        for s, t in pairs:
+            if s != t:
+                assert on_some_shortest_path(g, s, t, reach, space) == gate_by_search(
+                    g, s, t, reach)
+
+    def test_a_shorter_detour_decides_without_a_search(self, monkeypatch):
+        # s -> r -> x -> t (L = 3) against s -> h -> t; every vertex of a graph
+        # this small is a landmark
+        g = loads_edge_list("s r\nr x\nx t\ns h\nh t\n")
+        s, r, t = (g.id_of(lab) for lab in "srt")
+        reach = compute_reachability(g, r)
+
+        def no_search(*args):
+            raise AssertionError("the landmark table should decide this pair")
+
+        monkeypatch.setattr("pathcentral.shortest_paths.shortest_path_length", no_search)
+        assert not on_some_shortest_path(g, s, t, reach)
+
+    def test_fewer_vertices_than_landmarks(self):
+        g = DirectedGraph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 0), (1, 4)])
+        assert g._landmark_distances()[2] == 5
+        for r in g.vertices():
+            reach = compute_reachability(g, r)
+            for s in g.vertices():
+                for t in g.vertices():
+                    if s != t:
+                        assert on_some_shortest_path(g, s, t, reach) == gate_by_search(
+                            g, s, t, reach)
+
+    def test_saturated_distances_prove_nothing(self):
+        # a 300-vertex directed path: its landmarks are vertices 1-16 (degree
+        # 2, lowest ids), and a distance of 255 hops or more is stored as 255.
+        # For (0, 299) through 150, L = 299 and d(0, h) + 255 < 299 for every
+        # landmark h, so reading the table at L >= 255 would refuse the pair.
+        g = DirectedGraph.from_edges([(v, v + 1) for v in range(299)])
+        to_landmark, from_landmark, width = g._landmark_distances()
+        assert width == 16
+        assert from_landmark[299 * width:300 * width] == bytes([255] * 16)
+        for s, r, t in [(0, 150, 299), (0, 254, 255), (20, 100, 200), (1, 2, 298)]:
+            assert on_some_shortest_path(g, s, t, compute_reachability(g, r))
