@@ -244,7 +244,7 @@ def hub_walk_graph(n, edge_prob, hubs, cycle, seed):
     pick = np.random.default_rng(seed)
     edges = [tuple(e) for e in np.argwhere(pick.random((n, n)) < edge_prob).tolist()]
     for h in pick.choice(n, hubs, replace=False).tolist():
-        edges += [(h, int(v)) for v in pick.choice(n, pick.integers(51, n), replace=False)]
+        edges += [(h, int(v)) for v in pick.choice(n, pick.integers(52, n), replace=False)]
         edges += [(int(u), h) for u in pick.choice(n, 3, replace=False)]
     if cycle:
         edges += [(v, (v + 1) % n) for v in range(n)]
