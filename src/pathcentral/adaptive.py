@@ -9,9 +9,10 @@ error with half the failure probability; the two gap terms spend a quarter
 each (``gap_term_risk``), so a run that stops early keeps the overall
 guarantee.
 
-Each estimator supplies only its draw, its budget, its contribution bound
-and its gap terms; ``run_sampling_loop`` runs the draws, applies the stopping
-rule and builds the ``Estimate``.
+``run_sampling_loop`` owns the run: the clock, the seed, the degenerate
+zero, fixed or adaptive length, the binding of the gap terms, the draws and
+the ``Estimate``. Each estimator supplies a plan that returns its draw, its
+budget and its contribution bound, or None for a root that cannot score.
 
 The estimators draw through ``RawDraws``, which reads the generator's PCG64
 stream in blocks of raw 64-bit words and turns them into exactly the values
@@ -25,6 +26,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -322,22 +324,27 @@ def next_check(
 
 
 def run_sampling_loop(
-    draw: Callable[[], float],
-    budget: int,
-    tolerance: float,
-    gap_terms: Callable[[float, int], tuple[float, float]] | None,
-    bound: float,
-    seed: int,
-    started: float,
+    cfg,
+    terms: Callable[..., tuple[float, float]],
+    plan: Callable[[RawDraws], tuple[Callable[[], float], int, float] | None],
 ) -> Estimate:
     """Drive one estimation run to its stopping point and report it.
 
-    ``draw`` produces one per-sample contribution in ``[0, bound]``.
-    ``gap_terms(mean, tau)`` evaluates the two adaptive gap terms, or is
-    None when only the budget should stop the run (fixed sample counts);
-    then ``lower_conf``/``upper_conf`` are None. ``seed`` is the concrete
-    seed of the run's generator and ``started`` its ``time.perf_counter()``
-    start, for ``wall_time``.
+    ``cfg`` is the estimator's config: its ``tolerance``, ``failure_prob``,
+    ``seed`` and ``fixed_samples`` are read. ``terms`` is ``stopping_terms``
+    as the calling module looks it up, so a patch there sees every call.
+    ``plan(rng)`` gets the run's ``RawDraws``, seeded through ``make_rng``
+    (``seed`` reports the seed used), and returns ``(draw, budget, bound)``:
+    ``draw()`` gives one contribution in ``[0, bound]``, ``budget`` is the
+    fallback sample count for half the failure probability.
+
+    * A plan that returns None (a root that cannot score) gives a
+      ``degenerate-zero``: all counts zero, ``lower_conf == upper_conf == 0.0``.
+    * A set ``cfg.fixed_samples`` runs exactly that many draws and reports
+      it as ``sample_budget``, with no gap terms; the confidence ends are None.
+    * Otherwise the gap terms are ``terms(mean, tau, mass=budget * bound,
+      risk=gap_term_risk(cfg.failure_prob))``, a quarter of the failure
+      probability each.
 
     The run stops before the first draw at which both gap terms, evaluated
     at the running mean, are at most the tolerance (``bounds-satisfied``),
@@ -347,8 +354,8 @@ def run_sampling_loop(
 
     The check is not made before every draw. After a check fails at sample
     count tau with running sum S, :func:`next_check` bisects for the first
-    t' at which the upper term b(S, t') = gap_terms(S / t', t')[1] reaches
-    the tolerance λ (plus a relative margin of 1e-9), and the checks at
+    t' at which the upper gap term b(S, t'), evaluated at the mean S / t',
+    reaches the tolerance λ (plus a relative margin of 1e-9), and the checks at
     tau + 1 .. t' - 1 are skipped. None of them could pass, given four
     facts about the stop and the upper term of ``stopping_terms``:
 
@@ -371,6 +378,30 @@ def run_sampling_loop(
     below the safe region); with one risk for both terms it never exceeds
     the upper one anyway.
     """
+    started = time.perf_counter()
+    generator, seed = make_rng(cfg.seed)
+    setup = plan(RawDraws(generator))
+    if setup is None:
+        return Estimate(
+            value=0.0,
+            samples=0,
+            sample_budget=0,
+            contribution_bound=0.0,
+            stop_reason="degenerate-zero",
+            lower_conf=0.0,
+            upper_conf=0.0,
+            seed=seed,
+            wall_time=time.perf_counter() - started,
+            hits=0,
+        )
+    draw, budget, bound = setup
+    tolerance = cfg.tolerance
+    if cfg.fixed_samples is not None:
+        budget = cfg.fixed_samples
+        gap_terms = None
+    else:
+        gap_terms = partial(terms, mass=budget * bound, risk=gap_term_risk(cfg.failure_prob))
+
     acc = CompensatedSum()
     tau = 0
     hits = 0
@@ -408,18 +439,3 @@ def run_sampling_loop(
         hits=hits,
     )
 
-
-def degenerate_estimate(seed: int, started: float) -> Estimate:
-    """Zero-valued result for roots that cannot lie on any counted path."""
-    return Estimate(
-        value=0.0,
-        samples=0,
-        sample_budget=0,
-        contribution_bound=0.0,
-        stop_reason="degenerate-zero",
-        lower_conf=0.0,
-        upper_conf=0.0,
-        seed=seed,
-        wall_time=time.perf_counter() - started,
-        hits=0,
-    )

@@ -13,17 +13,10 @@ savings over unrestricted sampling come from.
 
 from __future__ import annotations
 
-import time
-from functools import partial
-
 from .adaptive import (
     Estimate,
     EstimatorConfig,
-    RawDraws,
     compute_sample_budget,
-    degenerate_estimate,
-    gap_term_risk,
-    make_rng,
     run_sampling_loop,
     stopping_terms,
 )
@@ -45,56 +38,49 @@ def _pair_loop(
     cfg: EstimatorConfig,
     hit_test,
 ) -> Estimate:
-    """Draw endpoint pairs for the root and score them in ``run_sampling_loop``.
+    """Run ``run_sampling_loop`` over endpoint pairs drawn for the root.
 
     ``hit_test(rng, reach, s, t, space)`` decides whether the drawn pair
     counts for the root; ``space`` is search scratch allocated once per run.
-    Where the endpoints come from and how much a hit contributes depends on
-    the mode: restricted draws from upstream x downstream and
-    contributes the pair fraction per hit; baseline draws from all
-    non-root vertices and contributes 1.
+    A root without an in-edge or an out-edge lies on no path: the plan
+    returns None. The budget is ``compute_sample_budget``. Restricted mode
+    draws from upstream x downstream and contributes the pair fraction per
+    hit; baseline draws from all non-root vertices and contributes 1.
     """
-    started = time.perf_counter()
-    generator, seed = make_rng(cfg.seed)
-    rng = RawDraws(generator)
 
-    # Past this check both restricted pools are non-empty: graphs hold no
-    # self-loops, so an in-neighbour is upstream and an out-neighbour downstream.
-    if g.in_degree(root) == 0 or g.out_degree(root) == 0:
-        return degenerate_estimate(seed, started)
+    def plan(rng):
+        # Past this check both restricted pools are non-empty: graphs hold no
+        # self-loops, so an in-neighbour is upstream and an out-neighbour downstream.
+        if g.in_degree(root) == 0 or g.out_degree(root) == 0:
+            return None
 
-    reach = compute_reachability(g, root)
-    if cfg.mode == "baseline":
-        pool = tuple(v for v in g.vertices() if v != root)
-        sources = targets = pool
-        bound = 1.0
-    else:
-        sources = tuple(sorted(reach.upstream))
-        targets = tuple(sorted(reach.downstream))
-        bound = float(reach.pair_fraction)
+        reach = compute_reachability(g, root)
+        if cfg.mode == "baseline":
+            pool = tuple(v for v in g.vertices() if v != root)
+            sources = targets = pool
+            bound = 1.0
+        else:
+            sources = tuple(sorted(reach.upstream))
+            targets = tuple(sorted(reach.downstream))
+            bound = float(reach.pair_fraction)
+        budget = compute_sample_budget(
+            cfg.tolerance, cfg.failure_prob, reach.diameter_vertex_bound
+        )
 
-    budget = compute_sample_budget(
-        cfg.tolerance, cfg.failure_prob, reach.diameter_vertex_bound
-    )
-    if cfg.fixed_samples is not None:
-        budget = cfg.fixed_samples
-        gap_terms = None
-    else:
-        gap_terms = partial(stopping_terms, mass=budget * bound,
-                            risk=gap_term_risk(cfg.failure_prob))
+        n_src = len(sources)
+        n_tgt = len(targets)
+        space = _SearchSpace(g)
 
-    n_src = len(sources)
-    n_tgt = len(targets)
-    space = _SearchSpace(g)
+        def draw() -> float:
+            s = sources[rng.integers(n_src)]
+            t = targets[rng.integers(n_tgt)]
+            if s == t:
+                return 0.0
+            return bound if hit_test(rng, reach, s, t, space) else 0.0
 
-    def draw() -> float:
-        s = sources[rng.integers(n_src)]
-        t = targets[rng.integers(n_tgt)]
-        if s == t:
-            return 0.0
-        return bound if hit_test(rng, reach, s, t, space) else 0.0
+        return draw, budget, bound
 
-    return run_sampling_loop(draw, budget, cfg.tolerance, gap_terms, bound, seed, started)
+    return run_sampling_loop(cfg, stopping_terms, plan)
 
 
 def estimate_betweenness(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> Estimate:

@@ -188,10 +188,7 @@ def brandes_betweenness_all(
     if exact:
         _dependency_sweep(g, range(n), scores)
     else:
-        import numpy as np
-
-        a = g.to_csr().astype(np.float64)
-        at = a.T.tocsr()
+        a, at = g._search_matrices()
         width = max(1, LEVEL_SWEEP_BATCH_BYTES // (8 * n))
         for start in range(0, n, width):
             sums = _level_sweep(a, at, range(start, min(n, start + width)))
@@ -262,7 +259,7 @@ def all_pairs_distances(g: DirectedGraph):
     """
     from scipy.sparse import csgraph
 
-    return csgraph.shortest_path(g.to_csr(), method="auto", unweighted=True)
+    return csgraph.shortest_path(g._search_matrices()[0], method="auto", unweighted=True)
 
 
 def exact_coverage(g: DirectedGraph, root: int, dist=None):

@@ -30,19 +30,13 @@ ratio and the bound contribution <= upstream share holds by construction.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left
 from dataclasses import InitVar, dataclass
-from functools import partial
 
 from .adaptive import (
     Estimate,
-    RawDraws,
     check_accuracy,
     check_count,
-    degenerate_estimate,
-    gap_term_risk,
-    make_rng,
     run_sampling_loop,
     stopping_terms,
 )
@@ -256,42 +250,39 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
     keeps the estimator unbiased over the walk space. A draw whose source
     is farther from the root than its length scores zero without growing
     a walk, consuming the same random words ``sample_walk`` would.
+
+    A root with no in-edge reports a degenerate zero. The budget is
+    ``compute_walk_budget`` at half the failure probability; a fixed run
+    ignores it.
     """
-    started = time.perf_counter()
-    generator, seed = make_rng(cfg.seed)
-    rng = RawDraws(generator)
 
-    if g.in_degree(root) == 0:
-        return degenerate_estimate(seed, started)
+    def plan(rng):
+        if g.in_degree(root) == 0:
+            return None
 
-    reach = compute_reachability(g, root)
-    sources = tuple(sorted(reach.upstream))
-    bound = float(reach.source_fraction)
-
-    if cfg.fixed_samples is not None:
-        budget = cfg.fixed_samples
-        gap_terms = None
-    else:
+        reach = compute_reachability(g, root)
+        sources = tuple(sorted(reach.upstream))
+        bound = float(reach.source_fraction)
         budget = compute_walk_budget(cfg.tolerance, cfg.failure_prob / 2.0, bound)
-        gap_terms = partial(stopping_terms, mass=budget * bound,
-                            risk=gap_term_risk(cfg.failure_prob))
 
-    n = g.vertex_count
-    n_src = len(sources)
-    space = _WalkSpace(g, reach)
-    to_root = space.to_root
-    k = cfg.k
-    weighting = cfg.weight
+        n = g.vertex_count
+        n_src = len(sources)
+        space = _WalkSpace(g, reach)
+        to_root = space.to_root
+        k = cfg.k
+        weighting = cfg.weight
 
-    def draw() -> float:
-        s = sources[int(rng.integers(n_src))]
-        length = int(rng.integers(1, k + 1))
-        if to_root[s] > length:
+        def draw() -> float:
+            s = sources[int(rng.integers(n_src))]
+            length = int(rng.integers(1, k + 1))
+            if to_root[s] > length:
+                return 0.0
+            walk = sample_walk(g, reach, s, length, rng, weight=weighting, space=space)
+            assert walk.probability_denominator <= walk.weight_denominator
+            if walk.completed and walk.contains_mark:
+                return n_src * walk.probability_denominator / (n * walk.weight_denominator)
             return 0.0
-        walk = sample_walk(g, reach, s, length, rng, weight=weighting, space=space)
-        assert walk.probability_denominator <= walk.weight_denominator
-        if walk.completed and walk.contains_mark:
-            return n_src * walk.probability_denominator / (n * walk.weight_denominator)
-        return 0.0
 
-    return run_sampling_loop(draw, budget, cfg.tolerance, gap_terms, bound, seed, started)
+        return draw, budget, bound
+
+    return run_sampling_loop(cfg, stopping_terms, plan)

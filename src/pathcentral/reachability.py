@@ -105,7 +105,7 @@ def transitive_closure_oracle(g: DirectedGraph):
         raise GuardError(
             f"transitive closure is capped at {CLOSURE_GUARD} vertices, got {n}"
         )
-    dist = csgraph.shortest_path(g.to_csr(), method="D", unweighted=True)
+    dist = csgraph.shortest_path(g._search_matrices()[0], method="D", unweighted=True)
     closure = np.isfinite(dist)
     np.fill_diagonal(closure, False)
     return closure

@@ -1,6 +1,5 @@
 import math
 import random
-import time
 
 import numpy as np
 import pytest
@@ -199,8 +198,16 @@ class TestRawDraws:
             RawDraws(np.random.Generator(np.random.MT19937(0)))
 
 
-def run_loop(draw, budget, gap_terms):
-    return run_sampling_loop(draw, budget, 0.05, gap_terms, 1.0, 0, time.perf_counter())
+def run_loop(draw, budget, gap_terms, bound=1.0):
+    """Run with the plan's ``draw``, ``budget`` and ``bound`` at tolerance 0.05.
+
+    ``gap_terms(mean, tau)`` stands in for the bound gap terms; None makes
+    the run fixed at ``budget`` samples.
+    """
+    cfg = EstimatorConfig(tolerance=0.05, failure_prob=0.1, seed=0,
+                          fixed_samples=budget if gap_terms is None else None)
+    return run_sampling_loop(cfg, lambda mean, tau, mass, risk: gap_terms(mean, tau),
+                             lambda rng: (draw, budget, bound))
 
 
 class TestSamplingLoop:
@@ -238,13 +245,42 @@ class TestSamplingLoop:
     def test_mean_never_rounds_above_the_bound(self):
         # 11 hits of this bound sum and divide to one ulp above it
         bound = 0.007575757575757576
-        est = run_sampling_loop(lambda: bound, 11, 0.05, None, bound, 0, time.perf_counter())
+        est = run_loop(lambda: bound, 11, None, bound)
         assert est.value == bound
 
     def test_zero_budget_never_draws(self):
-        est = run_loop(lambda: 1.0, 0, None)
+        # a fixed run has at least one sample, so only a plan's budget can be 0
+        def gaps(mean, tau):
+            raise AssertionError("no gap terms without a sample")
+
+        est = run_loop(lambda: 1.0, 0, gaps)
         assert (est.value, est.samples, est.hits) == (0.0, 0, 0)
         assert est.stop_reason == "budget-reached"
+
+    def test_plan_without_a_draw_is_a_degenerate_zero(self):
+        drawn = []
+
+        def plan(rng):
+            drawn.append(rng.integers(2**32))
+            return None
+
+        cfg = EstimatorConfig(tolerance=0.05, failure_prob=0.1, seed=None)
+        est = run_sampling_loop(cfg, stopping_terms, plan)
+        assert est.stop_reason == "degenerate-zero"
+        assert est.lower_conf == est.upper_conf == 0.0
+        assert (est.value, est.samples, est.sample_budget, est.contribution_bound,
+                est.hits) == (0.0, 0, 0, 0.0, 0)
+        # the reported seed is the one the plan's draws came from
+        assert drawn == [RawDraws(np.random.default_rng(est.seed)).integers(2**32)]
+
+    def test_fixed_run_reports_its_own_length(self):
+        def gaps(mean, tau, mass, risk):
+            raise AssertionError("a fixed run has no gap terms")
+
+        cfg = EstimatorConfig(tolerance=0.05, failure_prob=0.1, seed=3, fixed_samples=7)
+        est = run_sampling_loop(cfg, gaps, lambda rng: (lambda: 0.5, 400, 0.5))
+        assert (est.samples, est.sample_budget, est.stop_reason) == (7, 7, "budget-reached")
+        assert est.lower_conf is None and est.upper_conf is None
 
     def test_stop_requires_both_gaps(self):
         calls = []
@@ -314,12 +350,16 @@ class TestSkippedChecks:
         calls = []
         draws = iter(range(10**6))
 
-        def gaps(mean, tau):
+        def gaps(mean, tau, mass, risk):
+            # budget 10**5 times bound 0.1, and a quarter of 0.1
+            assert (mass, risk) == (1e4, 0.025)
             calls.append(tau)
-            return stopping_terms(mean, tau, 1e4, 0.025)
+            return stopping_terms(mean, tau, mass, risk)
 
-        est = run_sampling_loop(lambda: 0.1 if next(draws) % 3 == 0 else 0.0,
-                                10**5, 0.01, gaps, 0.1, 0, time.perf_counter())
+        cfg = EstimatorConfig(tolerance=0.01, failure_prob=0.1, seed=0)
+        est = run_sampling_loop(
+            cfg, gaps,
+            lambda rng: (lambda: 0.1 if next(draws) % 3 == 0 else 0.0, 10**5, 0.1))
         assert est.stop_reason == "bounds-satisfied"
         assert len(calls) < est.samples // 10
 

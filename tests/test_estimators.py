@@ -231,10 +231,13 @@ def test_gap_terms_are_looked_up_in_the_estimator_module(
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, "stopping_terms", counting)
     est = estimate(diamond, diamond.id_of("a"), config)
     assert est.lower_conf is not None
     assert len(calls) > 0
+    # the δ split: the budget's mass, and a quarter of δ for each gap term
+    mass = est.sample_budget * est.contribution_bound
+    assert all(c == {"mass": mass, "risk": config.failure_prob / 4} for c in calls)
