@@ -438,4 +438,3 @@ def run_sampling_loop(
         wall_time=time.perf_counter() - started,
         hits=hits,
     )
-
