@@ -93,7 +93,6 @@ class EstimatorConfig:
             raise ValueError(f"mode must be 'restricted' or 'baseline', got {self.mode!r}")
 
 
-
 def gap_term_risk(failure_prob: float) -> float:
     """Share of the failure probability spent on each of the two gap terms."""
     return failure_prob / 4.0

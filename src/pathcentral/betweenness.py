@@ -103,7 +103,7 @@ def estimate_betweenness(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> E
         if not on_some_shortest_path(g, s, t, reach, space):
             return False
         dag = build_shortest_path_dag(g, s, t, space)
-        return sample_uniform_path(dag, rng, mark=root).contains_mark
+        return root in sample_uniform_path(dag, rng).vertices
 
     return _pair_loop(g, root, cfg, hit_test)
 

@@ -7,8 +7,7 @@ coverage, and exhaustive simple-path enumeration for k-path scores.
 
 Everything up to ``EXACT_ARITHMETIC_THRESHOLD`` vertices is computed in exact
 rational arithmetic so equality tests in higher layers are meaningful; above
-it the same code paths run in floats. ``brandes_betweenness_all`` alone lets
-its caller move that threshold. The coverage and k-path oracles refuse
+it the same code paths run in floats. The coverage and k-path oracles refuse
 graphs above fixed caps (``COVERAGE_GUARD``, ``KPATH_*_GUARD``).
 
 Both betweenness oracles share one counting BFS on flat lists; Brandes'
@@ -160,16 +159,14 @@ def _level_sweep(a, at, sources: range):
     return delta.sum(axis=1)
 
 
-def brandes_betweenness_all(
-    g: DirectedGraph, exact_threshold: int = EXACT_ARITHMETIC_THRESHOLD
-):
+def brandes_betweenness_all(g: DirectedGraph):
     """Betweenness of every vertex by dependency accumulation.
 
     One BFS plus one backward sweep per source, normalized by the number of
     ordered vertex pairs. Computing a single vertex costs the same as all of
     them, so callers that need several scores should call this once.
 
-    Up to ``exact_threshold`` vertices the sweep runs in rational
+    Up to ``EXACT_ARITHMETIC_THRESHOLD`` vertices the sweep runs in rational
     arithmetic, one source at a time. Above it the scores are floats, and
     sources go in batches through ``_level_sweep``, a level-synchronous
     sweep on sparse matrix products. Its scores differ from the rational
@@ -183,7 +180,7 @@ def brandes_betweenness_all(
     n = g.vertex_count
     if n < 2:
         raise GuardError("betweenness needs at least 2 vertices")
-    exact = n <= exact_threshold
+    exact = n <= EXACT_ARITHMETIC_THRESHOLD
     scores = [Fraction(0) if exact else 0.0] * n
     if exact:
         _dependency_sweep(g, range(n), scores)

@@ -14,7 +14,8 @@ Expanding whole levels (never stopping mid-level) is what makes the counts
 exact: when the sides first touch, every meeting vertex v satisfies
 dist_f(v) + dist_b(v) = d(s, t), each shortest path crosses the meeting set
 exactly once, and the number of shortest paths factors as
-sum over meeting v of (paths s to v) * (paths v to t).
+sum over meeting v of sigma_f(v) * sigma_b(v), the paths s to v times the
+paths v to t.
 
 Both searches keep their labels in one reusable scratch (``_SearchSpace``):
 an epoch-stamped side mark per vertex, plus, for the counting search, flat
@@ -22,11 +23,12 @@ distance, path-count and first-parent lists for each side. The
 distance-only search needs no counts, so it exits at the first contact.
 The counting search finishes the contact level, but only scans it for
 contact edges, and labels each meeting vertex on the expanding side as
-well, so a meeting vertex carries both sides' labels. It then builds
-predecessor tuples for the structure's vertices alone, along forward
-parent links from the meeting set back to s and along backward parent
-links on to t. Its result is the same, tuple order included, as that of
-a search that keeps a predecessor list for every labelled vertex.
+well, so a meeting vertex carries both sides' labels. It then stops: a
+path is drawn straight from those labels, as in KADABRA (Borassi &
+Natale, ESA 2016). The draw picks a meeting vertex with weight
+sigma_f * sigma_b, then follows parent links to each end, each parent
+weighted by that side's path count, which gives every shortest path
+probability exactly 1 / sigma(s, t).
 
 The membership gate, d(s, r) + d(r, t) = d(s, t), is the coverage test,
 and the betweenness estimator runs it before the builder, on the same
@@ -41,9 +43,8 @@ and gives the answer the search would give, so no sample's law moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
-from typing import Mapping
 
 from .graph import FAR, DirectedGraph
 from .reachability import ReachabilityInfo
@@ -62,31 +63,34 @@ _INT63 = 2**63 - 1
 
 @dataclass(frozen=True)
 class ShortestPathDag:
-    """All shortest paths from ``source`` to ``target`` in one structure.
+    """All shortest paths from ``source`` to ``target``, as the search left them.
 
-    ``dist`` maps each vertex on some shortest path to its (exact) distance
-    from the source; ``counts`` to the number of distinct shortest
-    source-to-v paths (arbitrary precision); ``preds`` to its in-neighbors
-    within the structure. Every edge (u, v) implied by ``preds`` satisfies
-    dist[v] = dist[u] + 1, and counts[v] equals the sum of counts over
-    preds[v] (with counts[source] = 1).
+    ``distance`` is d(source, target) in hops and ``path_count`` the number
+    of shortest paths (arbitrary precision). The paths themselves stay in
+    the scratch the search ran on: the meeting set, each meeting vertex's
+    weight sigma_f * sigma_b, and each side's path counts and parent links,
+    with the later parents grouped per vertex. The structure is only valid
+    until that scratch's next search, after which
+    :func:`sample_uniform_path` raises. Equality compares the four public
+    fields alone, never the scratch.
     """
 
     source: int
     target: int
     distance: int
     path_count: int
-    dist: Mapping[int, int]
-    counts: Mapping[int, int]
-    preds: Mapping[int, tuple[int, ...]]
+    _meeting: tuple[int, ...] = field(compare=False, repr=False)
+    _weights: list[int] = field(compare=False, repr=False)
+    _later: tuple[dict[int, list[int]], ...] = field(compare=False, repr=False)
+    _space: _SearchSpace = field(compare=False, repr=False)
+    _stamp: int = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class PathSample:
-    """One drawn shortest path, with a membership flag for a marked vertex."""
+    """One drawn shortest path, source first."""
 
     vertices: tuple[int, ...]
-    contains_mark: bool
 
 
 class _SearchSpace:
@@ -99,8 +103,10 @@ class _SearchSpace:
     dicts, and a run that draws many pairs allocates the marks once. The
     counting search also keeps, per side, a distance, a path count and a
     first parent per vertex. It writes a side's three entries when that
-    side labels the vertex and reads them only for vertices carrying that
-    side's stamp or the shared one, so stale entries are never read.
+    side labels the vertex (but no distance for a meeting vertex labelled
+    at the contact level, which nothing reads) and reads them only for
+    vertices carrying that side's stamp or the shared one, so stale
+    entries are never read.
     """
 
     __slots__ = ("mark", "epoch", "dist", "sigma", "parent")
@@ -123,20 +129,17 @@ def build_shortest_path_dag(
     is rejected: the estimators never ask for it and the empty path would
     need its own conventions. ``space`` carries the scratch across calls on
     the same graph, shared with :func:`shortest_path_length`; without one a
-    fresh scratch is allocated.
+    fresh scratch is allocated. The structure reads that scratch, so it
+    is only valid until the scratch's next search.
 
     Each side labels a vertex with its distance, its path count and its
     first parent (the frontier vertex whose edge labelled it). Later
     parents are rare, so they go to one list per side for the whole search
-    instead of a list per vertex. Once the first contact shows up, the rest
-    of that level is only scanned for contact edges, from the expanding
-    frontier into the other side, and the vertices they reach, the meeting
-    set, are labelled by the expanding side too; nothing else is labelled.
-    The structure is then assembled as in a search that keeps every
-    predecessor list: the forward half along forward parent links from the
-    meeting set, the backward half along backward parent links. Parents
-    are listed in the order the level scan met them, so each predecessor
-    tuple has the order a seeded draw depends on.
+    instead of a list per vertex, and are grouped per vertex at the end.
+    Once the first contact shows up, the rest of that level is only
+    scanned for contact edges, from the expanding frontier into the other
+    side, and the vertices they reach, the meeting set, are labelled by
+    the expanding side too; nothing else is labelled.
     """
     g._check(source)
     g._check(target)
@@ -150,7 +153,6 @@ def build_shortest_path_dag(
     mark = space.mark
     dist_f, dist_b = space.dist
     sigma_f, sigma_b = space.sigma
-    parent_f, parent_b = space.parent
     mark[source], mark[target] = marks
     dist_f[source] = dist_b[target] = 0
     sigma_f[source] = sigma_b[target] = 1
@@ -196,9 +198,8 @@ def build_shortest_path_dag(
         break
 
     # The contact level: the frontier vertices before ``at`` have no contact
-    # edge. Its contact edges are collected in scan order first, so the scan
-    # makes one test per edge, and then the expanding side labels the
-    # meeting set.
+    # edge. Its contact edges are collected first, so the scan makes one
+    # test per edge, and then the expanding side labels the meeting set.
     contacts = []
     for u in frontier[at:]:
         for v in adj[u]:
@@ -208,75 +209,24 @@ def build_shortest_path_dag(
     for v, u in contacts:
         if mark[v] == other:
             mark[v] = both
-            dist[v] = level
             sigma[v] = sigma[u]
             parent[v] = u
             meeting.append(v)
         else:
             sigma[v] += sigma[u]
             pairs.append((v, u))
-    more_f, more_b = _grouped(later[0]), _grouped(later[1])
 
-    distance = radius[0] + radius[1]
-    path_count = sum(sigma_f[v] * sigma_b[v] for v in meeting)
-    counts: dict[int, int] = {}
-    position: dict[int, int] = {}
-    dag_preds: dict[int, tuple[int, ...]] = {}
-
-    # Forward half: the meeting set and everything reaching it along
-    # forward parent links, with the forward search's counts and distances.
-    stack = list(meeting)
-    while stack:
-        v = stack.pop()
-        if v in counts:
-            continue
-        counts[v] = sigma_f[v]
-        position[v] = dist_f[v]
-        if v == source:
-            dag_preds[v] = ()
-            continue
-        p = parent_f[v]
-        ps = [p] + more_f[v] if v in more_f else [p]
-        dag_preds[v] = tuple(ps)
-        stack += ps
-
-    # Backward half: everything the meeting set reaches along backward
-    # parent links. Source-side path counts are not known here (the
-    # backward search counted paths to the target), so propagate them level
-    # by level away from the meeting set. The order in which this stack
-    # walk pops vertices is the order of each predecessor tuple here, and
-    # so of a seeded draw.
-    by_depth: dict[int, list[int]] = {}
-    back_preds: dict[int, list[int]] = {}
-    bseen = set(meeting)
-    stack = list(meeting)
-    while stack:
-        v = stack.pop()
-        if v == target:
-            continue
-        p = parent_b[v]
-        for u in [p] + more_b[v] if v in more_b else [p]:
-            back_preds.setdefault(u, []).append(v)
-            if u not in bseen:
-                bseen.add(u)
-                stack.append(u)
-                by_depth.setdefault(dist_b[u], []).append(u)
-    for depth in sorted(by_depth, reverse=True):
-        for v in by_depth[depth]:
-            ps = back_preds[v]
-            counts[v] = sum(counts[u] for u in ps)
-            position[v] = distance - depth
-            dag_preds[v] = tuple(ps)
-
-    assert counts[target] == path_count
+    weights = [sigma_f[v] * sigma_b[v] for v in meeting]
     return ShortestPathDag(
         source=source,
         target=target,
-        distance=distance,
-        path_count=path_count,
-        dist=position,
-        counts=counts,
-        preds=dag_preds,
+        distance=radius[0] + radius[1],
+        path_count=sum(weights),
+        _meeting=tuple(meeting),
+        _weights=weights,
+        _later=(_grouped(later[0]), _grouped(later[1])),
+        _space=space,
+        _stamp=both,
     )
 
 
@@ -313,30 +263,41 @@ def _weighted_index(rng, weights: list[int]) -> int:
     raise AssertionError("weighted draw fell off the end")
 
 
-def sample_uniform_path(dag: ShortestPathDag, rng, mark: int | None = None) -> PathSample:
-    """Draw one path uniformly among all paths the structure describes.
+def sample_uniform_path(dag: ShortestPathDag, rng) -> PathSample:
+    """Draw one path uniformly among all shortest source-to-target paths.
 
-    Walks backward from the target, picking each predecessor u with
-    probability counts[u] / sum of counts over the candidates; multiplying
-    the step probabilities telescopes to exactly 1 / path_count per path.
-    ``mark`` sets the membership flag on the returned sample.
+    Picks a meeting vertex v with probability sigma_f(v) * sigma_b(v) /
+    path_count, then walks from v to the source along forward parent
+    links, taking each parent u of the current vertex w with probability
+    sigma_f(u) / sigma_f(w), and from v to the target along backward
+    parent links weighted by sigma_b. Each walk's step probabilities
+    telescope to 1 / sigma of v on that side, so every shortest path has
+    probability exactly 1 / path_count. Raises ``RuntimeError`` once the
+    structure's scratch has run another search.
     """
-    path = [dag.target]
-    v = dag.target
-    preds = dag.preds
-    counts = dag.counts
-    while v != dag.source:
-        candidates = preds[v]
-        if len(candidates) == 1:
-            v = candidates[0]
-        else:
-            v = candidates[_weighted_index(rng, [counts[u] for u in candidates])]
-        path.append(v)
-    path.reverse()
-    return PathSample(
-        vertices=tuple(path),
-        contains_mark=mark is not None and mark in path,
-    )
+    space = dag._space
+    if space.epoch != dag._stamp:
+        raise RuntimeError("the structure's search scratch has run another search since")
+    meeting = dag._meeting
+    v = meeting[0] if len(meeting) == 1 else meeting[_weighted_index(rng, dag._weights)]
+    halves = []
+    for end, sigma, parent, later in zip(
+        (dag.source, dag.target), space.sigma, space.parent, dag._later
+    ):
+        half = [v]
+        w = v
+        while w != end:
+            u = parent[w]
+            more = later.get(w)
+            if more is not None:
+                candidates = [u] + more
+                u = candidates[_weighted_index(rng, [sigma[x] for x in candidates])]
+            half.append(u)
+            w = u
+        halves.append(half)
+    to_source, to_target = halves
+    to_source.reverse()
+    return PathSample(vertices=tuple(to_source + to_target[1:]))
 
 
 def shortest_path_length(

@@ -13,7 +13,6 @@ from collections import deque
 from fractions import Fraction
 
 from pathcentral.graph import DirectedGraph
-from pathcentral.shortest_paths import ShortestPathDag
 
 # --- frozen values, hand-computed from the published formulas ------------
 #
@@ -157,117 +156,6 @@ def brandes_with_predecessor_lists(g: DirectedGraph, exact: bool) -> list:
             if w != s:
                 scores[w] += delta[w]
     return [v / (n * (n - 1)) for v in scores]
-
-
-def shortest_path_dag_with_predecessor_lists(
-    g: DirectedGraph, source: int, target: int
-) -> ShortestPathDag | None:
-    """Frozen dict-based bidirectional search, the reference for
-    ``build_shortest_path_dag``.
-
-    Both sides keep a dict of distances and path counts and a predecessor
-    (successor) list per labelled vertex, and finish the contact level
-    before assembling the structure. The library's result must be ``==`` to
-    this one, down to the order inside each ``preds`` tuple, because that
-    order decides which path a seeded draw returns.
-    """
-    dist_f = {source: 0}
-    sigma_f = {source: 1}
-    pred = {source: []}
-    dist_b = {target: 0}
-    sigma_b = {target: 1}
-    succ = {target: []}
-    frontier_f = [source]
-    frontier_b = [target]
-    meeting: list[int] = []
-
-    while not meeting:
-        if not frontier_f or not frontier_b:
-            return None
-        if len(frontier_f) <= len(frontier_b):
-            level = dist_f[frontier_f[0]] + 1
-            next_frontier = []
-            for u in frontier_f:
-                su = sigma_f[u]
-                for v in g.out_neighbors(u):
-                    dv = dist_f.get(v)
-                    if dv is None:
-                        dist_f[v] = level
-                        sigma_f[v] = su
-                        pred[v] = [u]
-                        next_frontier.append(v)
-                        if v in dist_b:
-                            meeting.append(v)
-                    elif dv == level:
-                        sigma_f[v] += su
-                        pred[v].append(u)
-            frontier_f = next_frontier
-        else:
-            level = dist_b[frontier_b[0]] + 1
-            next_frontier = []
-            for u in frontier_b:
-                su = sigma_b[u]
-                for w in g.in_neighbors(u):
-                    dw = dist_b.get(w)
-                    if dw is None:
-                        dist_b[w] = level
-                        sigma_b[w] = su
-                        succ[w] = [u]
-                        next_frontier.append(w)
-                        if w in dist_f:
-                            meeting.append(w)
-                    elif dw == level:
-                        sigma_b[w] += su
-                        succ[w].append(u)
-            frontier_b = next_frontier
-
-    distance = dist_f[meeting[0]] + dist_b[meeting[0]]
-    path_count = sum(sigma_f[v] * sigma_b[v] for v in meeting)
-
-    counts: dict[int, int] = {}
-    position: dict[int, int] = {}
-    dag_preds: dict[int, tuple[int, ...]] = {}
-    seen = set(meeting)
-    stack = list(meeting)
-    while stack:
-        v = stack.pop()
-        position[v] = dist_f[v]
-        counts[v] = sigma_f[v]
-        ps = pred[v]
-        dag_preds[v] = tuple(ps)
-        for u in ps:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-
-    by_depth: dict[int, list[int]] = {}
-    back_preds: dict[int, list[int]] = {}
-    bseen = set(meeting)
-    stack = list(meeting)
-    while stack:
-        v = stack.pop()
-        for u in succ[v]:
-            back_preds.setdefault(u, []).append(v)
-            if u not in bseen:
-                bseen.add(u)
-                stack.append(u)
-                by_depth.setdefault(dist_b[u], []).append(u)
-    for depth in sorted(by_depth, reverse=True):
-        for v in by_depth[depth]:
-            ps = back_preds[v]
-            counts[v] = sum(counts[u] for u in ps)
-            position[v] = distance - depth
-            dag_preds[v] = tuple(ps)
-
-    return ShortestPathDag(
-        source=source,
-        target=target,
-        distance=distance,
-        path_count=path_count,
-        dist=position,
-        counts=counts,
-        preds=dag_preds,
-    )
 
 
 def coverage_by_enumeration(g: DirectedGraph, root: int) -> Fraction:

@@ -301,15 +301,15 @@ def pinned_config(vertices):
 PINNED_DIGESTS = {
     "top-betweenness": (
         {"policy": "top-betweenness", "count": 2},
-        "2471351015fcdb62f38952e77a73dbe56f80dccc499d816a6a647cb5d5c141d1",
+        "f803333ac008c78fa2608ce197681ef1c20b18da960516871d312b8040a48635",
     ),
     "labels": (
         {"policy": "labels", "labels": ["5", "1"]},
-        "4aa98f9a02192dc19de355ee1cb744bc6bc861402db4b792260203aa066a4242",
+        "7c59469ce28dbb5fb184c68be9faf1e85650e3e6d3a6e689e525080e8a901391",
     ),
     "random": (
         {"policy": "random", "count": 2},
-        "94a1ce128f1ba5fe870ec295ffde816caede5896aeaf0dc29b6fed5784d76046",
+        "297eead140853eeeb9fcbe3fb68d75f4549e56b03a4436f6ffdfffb7ee210ae4",
     ),
 }
 

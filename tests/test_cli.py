@@ -77,15 +77,15 @@ class TestEstimateCommands:
         assert payload.pop("wall_time") >= 0
         assert payload == {
             "contribution_bound": 0.16666666666666666,
-            "hits": 63,
-            "lower_conf": 0.020693718823339997,
+            "hits": 52,
+            "lower_conf": 0.01553199665898966,
             "method": "sampled-paths",
             "sample_budget": 800,
-            "samples": 222,
+            "samples": 215,
             "seed": 4,
             "stop_reason": "bounds-satisfied",
-            "upper_conf": 0.09723815855404314,
-            "value": 0.0472972972972973,
+            "upper_conf": 0.09021754041741928,
+            "value": 0.040310077519379844,
             "vertex": "b",
         }
 

@@ -69,10 +69,11 @@ class TestBetweenness:
         with pytest.raises(GuardError):
             brandes_betweenness_all(g)
 
-    def test_float_mode_above_threshold(self):
+    def test_float_mode_above_threshold(self, monkeypatch):
         g = random_digraph(20, 0.15, seed=3)
         exact = brandes_betweenness_all(g)
-        floats = brandes_betweenness_all(g, exact_threshold=5)
+        monkeypatch.setattr(exact_module, "EXACT_ARITHMETIC_THRESHOLD", 5)
+        floats = brandes_betweenness_all(g)
         for e, f in zip(exact, floats):
             assert isinstance(f, float)
             assert abs(float(e) - f) < 1e-12
@@ -83,7 +84,7 @@ class TestBetweenness:
             assert brandes_betweenness_all(g) == betweenness_by_enumeration(g)
 
     @pytest.mark.parametrize("g", REFERENCE_GRAPHS)
-    def test_equals_predecessor_list_reference(self, g):
+    def test_equals_predecessor_list_reference(self, g, monkeypatch):
         # exact equality in both arithmetics: the flat-array sweep must add
         # into each dependency in the reference's order, not merely come close
         assert brandes_betweenness_all(g) == brandes_with_predecessor_lists(g, exact=True)
@@ -93,19 +94,21 @@ class TestBetweenness:
         reference = brandes_with_predecessor_lists(g, exact=False)
         assert [v / (n * (n - 1)) for v in sums] == reference
         # the public float call sums batches of sources in another order
-        floats = brandes_betweenness_all(g, exact_threshold=0)
+        monkeypatch.setattr(exact_module, "EXACT_ARITHMETIC_THRESHOLD", 0)
+        floats = brandes_betweenness_all(g)
         assert all(isinstance(f, float) for f in floats)
         for level, ref in zip(floats, reference):
             assert abs(level - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("g", [complete_layers(20, 10), braided_cycle(200, 20)],
                              ids=["counts-beyond-2**53", "deeper-than-the-level-cap"])
-    def test_refused_level_sweep_falls_back_bit_for_bit(self, g):
+    def test_refused_level_sweep_falls_back_bit_for_bit(self, g, monkeypatch):
         # 10**19 paths reach the last layer, more than floats count exactly;
         # the cycle's BFS runs close to 200 levels deep. Either graph fits in
         # one batch, so the whole call runs per source and must match the
         # reference exactly.
-        floats = brandes_betweenness_all(g, exact_threshold=0)
+        monkeypatch.setattr(exact_module, "EXACT_ARITHMETIC_THRESHOLD", 0)
+        floats = brandes_betweenness_all(g)
         assert floats == brandes_with_predecessor_lists(g, exact=False)
 
     @pytest.mark.parametrize("g", [hub_digraph(210, seed=1),

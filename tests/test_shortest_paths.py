@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcentral.graph import DirectedGraph, bfs_distances, loads_edge_list
@@ -15,28 +18,66 @@ from pathcentral.shortest_paths import (
 
 from pathcentral.generate import hub_digraph, layered_dag, random_digraph
 
-from oracles import shortest_path_dag_with_predecessor_lists, shortest_paths_by_enumeration
+from oracles import shortest_paths_by_enumeration
 
 edge_pairs = st.lists(
     st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=45
 )
 
 
+class ScriptedDraws:
+    """Generator stand-in: replays a script of ``integers`` values, 0 past
+    its end, and records the range of every draw."""
+
+    def __init__(self, script):
+        self.script = script
+        self.ranges = []
+
+    def integers(self, high):
+        i = len(self.ranges)
+        self.ranges.append(high)
+        return self.script[i] if i < len(self.script) else 0
+
+    def bytes(self, n):
+        raise AssertionError("path counts this small never need byte draws")
+
+
+def path_law(dag):
+    """Every path the real sampler draws from ``dag``, with its exact probability.
+
+    Runs ``sample_uniform_path`` once per sequence of draw values: after
+    each run the last draw with values left moves on by one, odometer
+    style, and the draws after it start again from 0, until every value of
+    every draw has been taken.
+    """
+    law = {}
+    script = []
+    while True:
+        rng = ScriptedDraws(script)
+        path = sample_uniform_path(dag, rng).vertices
+        law[path] = law.get(path, 0) + Fraction(1, math.prod(rng.ranges))
+        script = script + [0] * (len(rng.ranges) - len(script))
+        while script and script[-1] == rng.ranges[len(script) - 1] - 1:
+            script.pop()
+        if not script:
+            return law
+        script[-1] += 1
+
+
 def test_single_chain(three_path):
-    a, c = three_path.id_of("a"), three_path.id_of("c")
+    a, b, c = (three_path.id_of(x) for x in "abc")
     dag = build_shortest_path_dag(three_path, a, c)
     assert dag.distance == 2
     assert dag.path_count == 1
-    assert dag.counts[a] == 1
+    assert path_law(dag) == {(a, b, c): 1}
 
 
 def test_diamond_counts_both_branches(diamond):
-    s, t = diamond.id_of("s"), diamond.id_of("t")
+    s, a, b, t = (diamond.id_of(x) for x in "sabt")
     dag = build_shortest_path_dag(diamond, s, t)
     assert dag.distance == 2
     assert dag.path_count == 2
-    assert diamond.id_of("a") in dag.dist
-    assert diamond.id_of("b") in dag.dist
+    assert path_law(dag) == {(s, a, t): Fraction(1, 2), (s, b, t): Fraction(1, 2)}
 
 
 def test_unreachable_returns_none():
@@ -54,22 +95,18 @@ def test_shortcut_prefers_direct_edge(shortcut):
     dag = build_shortest_path_dag(shortcut, a, c)
     assert dag.distance == 1
     assert dag.path_count == 1
-    assert shortcut.id_of("b") not in dag.dist
+    assert path_law(dag) == {(a, c): 1}
 
 
 def dag_structure_ok(g, dag):
-    assert dag.counts[dag.source] == 1
-    assert dag.counts[dag.target] == dag.path_count
-    assert dag.dist[dag.source] == 0
-    assert dag.dist[dag.target] == dag.distance
-    for v, preds in dag.preds.items():
-        if v == dag.source:
-            assert preds == ()
-            continue
-        assert dag.counts[v] == sum(dag.counts[u] for u in preds)
-        for u in preds:
+    law = path_law(dag)
+    assert len(law) == dag.path_count
+    assert set(law.values()) == {Fraction(1, dag.path_count)}
+    for path in law:
+        assert path[0] == dag.source and path[-1] == dag.target
+        assert len(path) == dag.distance + 1
+        for u, v in zip(path, path[1:]):
             assert v in g.out_neighbors(u)
-            assert dag.dist[v] == dag.dist[u] + 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -135,15 +172,6 @@ def test_single_path_always_drawn(three_path):
     assert list(freqs.values()) == [1.0]
 
 
-def test_mark_flag_tracks_membership(diamond):
-    s, t, a = diamond.id_of("s"), diamond.id_of("t"), diamond.id_of("a")
-    dag = build_shortest_path_dag(diamond, s, t)
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        sample = sample_uniform_path(dag, rng, mark=a)
-        assert sample.contains_mark == (a in sample.vertices)
-
-
 def test_huge_path_counts_stay_exact():
     # 2^70 shortest paths: 70 stacked diamonds; counts exceed 64-bit range
     lines = []
@@ -158,45 +186,59 @@ def test_huge_path_counts_stay_exact():
         assert v in g.out_neighbors(u)
 
 
-# Sparse and layered graphs have long paths and wide levels, where the order
-# in which a level meets a vertex's parents differs from their id order.
-graphs = st.one_of(
-    st.builds(random_digraph, st.integers(2, 60), st.sampled_from([0.03, 0.06, 0.1]),
-              seed=st.integers(0, 10**6)),
-    st.builds(hub_digraph, st.integers(4, 80), st.integers(1, 2), st.integers(1, 2),
-              seed=st.integers(0, 10**6)),
-    st.builds(layered_dag, st.integers(4, 9), st.integers(4, 9),
-              st.sampled_from([0.3, 0.6, 0.9]), seed=st.integers(0, 10**6)),
+# Small enough to take every value of every draw. Sparse and layered graphs
+# have long paths and wide levels, where a vertex has several parents on
+# either side; hub graphs give meeting sets of several vertices whose two
+# path counts differ.
+LAW_GRAPHS = (
+    [random_digraph(n, p, seed=seed) for seed in range(8) for n, p in [(10, 0.25), (14, 0.15)]]
+    + [hub_digraph(n, 2, 2, seed=seed) for seed in range(8) for n in (10, 16)]
+    + [layered_dag(layers, width, p, seed=seed) for seed in range(8)
+       for layers, width, p in [(4, 3, 0.6), (5, 3, 0.8)]]
+    # a direct edge: the forward side makes contact at the target itself
+    + [DirectedGraph.from_edges([(0, 1)]),
+       # s -> 1, s -> 2, 1 -> 3: the forward side expands first to two
+       # vertices, then the smaller backward side makes contact at 1
+       DirectedGraph.from_edges([(0, 1), (0, 2), (1, 3)])]
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(graphs, st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
-       st.integers(0, 2**60))
-# a direct edge: the forward side makes contact at the target itself
-@example(DirectedGraph.from_edges([(0, 1)]), [0.0], 0)
-# s -> 1, s -> 2, 1 -> 3: the forward side expands first to two vertices,
-# then the smaller backward side makes contact at 1, next to the source
-@example(DirectedGraph.from_edges([(0, 1), (0, 2), (1, 3)]), [0.0], 0)
-# the diamond fixture: a backward contact with two meeting vertices
-@example(loads_edge_list("s a\ns b\na t\nb t\n"), [0.0], 2**60)
-def test_equals_predecessor_list_reference(g, sources, interleave):
+@pytest.mark.parametrize("g", LAW_GRAPHS)
+def test_each_shortest_path_has_probability_one_over_path_count(g):
     # One scratch for every search, with distance-only searches between the
-    # counting ones: a stale label or count would show up as a difference.
+    # counting ones: a stale label, count or parent would move the law.
     space = _SearchSpace(g)
     n = g.vertex_count
-    for i, x in enumerate(sources):
-        s = int(x * n)
+    for s in range(n):
         for t in range(n):
-            if t == s:
+            if s == t:
                 continue
-            if interleave >> ((i * n + t) % 60) & 1:
+            if (s * n + t) % 3 == 0:
                 shortest_path_length(g, t, s, space)
-            # Field by field: distance, path count, dist and counts maps, and
-            # each preds tuple in order, which decides the path a seeded draw
-            # takes.
-            assert build_shortest_path_dag(g, s, t, space) == (
-                shortest_path_dag_with_predecessor_lists(g, s, t))
+            paths = shortest_paths_by_enumeration(g, s, t)
+            dag = build_shortest_path_dag(g, s, t, space)
+            if not paths:
+                assert dag is None
+                continue
+            assert (dag.distance, dag.path_count) == (len(paths[0]) - 1, len(paths))
+            assert path_law(dag) == dict.fromkeys(paths, Fraction(1, len(paths)))
+
+
+def test_sampling_after_the_next_search_raises(diamond):
+    s, t = diamond.id_of("s"), diamond.id_of("t")
+    rng = np.random.default_rng(5)
+    space = _SearchSpace(diamond)
+    dag = build_shortest_path_dag(diamond, s, t, space)
+    sample_uniform_path(dag, rng)
+    shortest_path_length(diamond, s, t, space)
+    with pytest.raises(RuntimeError):
+        sample_uniform_path(dag, rng)
+    newer = build_shortest_path_dag(diamond, s, t, space)
+    assert newer == dag
+    with pytest.raises(RuntimeError):
+        sample_uniform_path(dag, rng)
+    assert sample_uniform_path(newer, rng).vertices in {
+        tuple(diamond.id_of(x) for x in "sat"), tuple(diamond.id_of(x) for x in "sbt")}
 
 
 class TestDistanceOnly:
