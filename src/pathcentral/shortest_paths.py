@@ -79,7 +79,7 @@ class ShortestPathDag:
     target: int
     distance: int
     path_count: int
-    _meeting: tuple[int, ...] = field(compare=False, repr=False)
+    _meeting: list[int] = field(compare=False, repr=False)
     _weights: list[int] = field(compare=False, repr=False)
     _later: tuple[dict[int, list[int]], ...] = field(compare=False, repr=False)
     _space: _SearchSpace = field(compare=False, repr=False)
@@ -134,12 +134,12 @@ def build_shortest_path_dag(
 
     Each side labels a vertex with its distance, its path count and its
     first parent (the frontier vertex whose edge labelled it). Later
-    parents are rare, so they go to one list per side for the whole search
-    instead of a list per vertex, and are grouped per vertex at the end.
-    Once the first contact shows up, the rest of that level is only
-    scanned for contact edges, from the expanding frontier into the other
-    side, and the vertices they reach, the meeting set, are labelled by
-    the expanding side too; nothing else is labelled.
+    parents go to one dict per side, under the vertex they reach, so only
+    a vertex with two or more parents gets a list. Once the first contact
+    shows up, the rest of that level is only scanned for contact edges,
+    from the expanding frontier into the other side, and the vertices they
+    reach, the meeting set, are labelled by the expanding side too;
+    nothing else is labelled.
     """
     g._check(source)
     g._check(target)
@@ -158,7 +158,7 @@ def build_shortest_path_dag(
     sigma_f[source] = sigma_b[target] = 1
     frontiers = [[source], [target]]
     radius = [0, 0]
-    later: tuple[list[tuple[int, int]], ...] = ([], [])
+    later: tuple[dict[int, list[int]], ...] = ({}, {})
 
     while True:
         if not frontiers[0] or not frontiers[1]:
@@ -169,7 +169,7 @@ def build_shortest_path_dag(
         own, other = marks[side], marks[1 - side]
         adj, frontier = (g._fwd, g._rev)[side], frontiers[side]
         dist, sigma, parent = space.dist[side], space.sigma[side], space.parent[side]
-        pairs = later[side]
+        more = later[side]
         radius[side] += 1
         level = radius[side]
         next_frontier = []
@@ -180,7 +180,7 @@ def build_shortest_path_dag(
                 if m == own:
                     if dist[v] == level:
                         sigma[v] += su
-                        pairs.append((v, u))
+                        more.setdefault(v, []).append(u)
                 elif m == other:
                     break
                 else:
@@ -214,7 +214,7 @@ def build_shortest_path_dag(
             meeting.append(v)
         else:
             sigma[v] += sigma[u]
-            pairs.append((v, u))
+            more.setdefault(v, []).append(u)
 
     weights = [sigma_f[v] * sigma_b[v] for v in meeting]
     return ShortestPathDag(
@@ -222,20 +222,12 @@ def build_shortest_path_dag(
         target=target,
         distance=radius[0] + radius[1],
         path_count=sum(weights),
-        _meeting=tuple(meeting),
+        _meeting=meeting,
         _weights=weights,
-        _later=(_grouped(later[0]), _grouped(later[1])),
+        _later=later,
         _space=space,
         _stamp=both,
     )
-
-
-def _grouped(later: list[tuple[int, int]]) -> dict[int, list[int]]:
-    """Each vertex's later parents, in the order the level scan met them."""
-    more: dict[int, list[int]] = {}
-    for v, u in later:
-        more.setdefault(v, []).append(u)
-    return more
 
 
 def _weighted_index(rng, weights: list[int]) -> int:
