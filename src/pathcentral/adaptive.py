@@ -11,13 +11,16 @@ guarantee.
 
 ``run_sampling_loop`` owns the run: the clock, the seed, the degenerate
 zero, fixed or adaptive length, the binding of the gap terms, the draws and
-the ``Estimate``. Each estimator supplies a plan that returns its draw, its
-budget and its contribution bound, or None for a root that cannot score.
+the ``Estimate``. Each estimator supplies a plan that returns its draws (a
+block of contributions at a time, in stream order), its budget and its
+contribution bound, or None for a root that cannot score.
 
 The estimators draw through ``RawDraws``, which reads the generator's PCG64
 stream in blocks of raw 64-bit words and turns them into exactly the values
 ``Generator.integers`` and ``Generator.bytes`` would return, at a fraction
-of the cost of a scalar numpy call.
+of the cost of a scalar numpy call. ``RawDraws.pairs`` replays a whole
+block of alternating bounded draws in numpy, for the estimator whose
+samples draw nothing else.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from operator import length_hint
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,24 +223,70 @@ class RawDraws:
 
     ``integers(lo, hi)`` is lo plus a draw over hi - lo, and ``bytes(n)``
     joins ceil(n / 4) half-words, little-endian, cut to n bytes.
+
+    Words are read from the generator ``_RAW_BLOCK`` at a time, and only
+    when the next one is needed, whether by a scalar draw or a block.
+    ``_words`` iterates over ``_buffer``, the words last read, and its
+    remaining length says how many of them are still unread.
     """
 
-    __slots__ = ("_bit_generator", "_words", "_half")
+    __slots__ = ("_bit_generator", "_buffer", "_words", "_half")
 
     def __init__(self, rng: np.random.Generator):
         state = rng.bit_generator.state
         if state["bit_generator"] != "PCG64":
             raise TypeError(f"raw draws replay PCG64, got {state['bit_generator']}")
         self._bit_generator = rng.bit_generator
+        self._buffer = np.empty(0, dtype=np.uint64)
         self._words = iter(())
         self._half = state["uinteger"] if state["has_uint32"] else None
 
     def _word(self) -> int:
         word = next(self._words, None)
         if word is None:
-            self._words = iter(self._bit_generator.random_raw(_RAW_BLOCK).tolist())
+            self._buffer = self._bit_generator.random_raw(_RAW_BLOCK)
+            self._words = iter(self._buffer.tolist())
             word = next(self._words)
         return word
+
+    def _unread(self, count: int) -> np.ndarray:
+        """The next ``count`` words, left unread.
+
+        Reads whole ``_RAW_BLOCK`` blocks from the generator only when the
+        buffer holds fewer than ``count``.
+        """
+        rest = self._buffer[len(self._buffer) - length_hint(self._words):]
+        if len(rest) < count:
+            blocks = -(-(count - len(rest)) // _RAW_BLOCK)
+            rest = np.concatenate([rest, self._bit_generator.random_raw(blocks * _RAW_BLOCK)])
+            self._buffer = rest
+            self._words = iter(rest.tolist())
+        return rest[:count]
+
+    def _skip_halves(self, count: int) -> None:
+        """Consume the next ``count`` half-words, which ``_unread`` has buffered."""
+        if count and self._half is not None:
+            self._half = None
+            count -= 1
+        if count:
+            words = (count + 1) // 2
+            rest = self._buffer[len(self._buffer) - length_hint(self._words):]
+            if count % 2:
+                # only the low half of the last word was taken
+                self._half = int(rest[words - 1]) >> 32
+            self._buffer = rest[words:]
+            self._words = iter(self._buffer.tolist())
+
+    def _next_halves(self, count: int) -> np.ndarray:
+        """The next ``count`` half-words, in draw order, left unread."""
+        held = self._half is not None
+        words = self._unread((count - held + 1) // 2)
+        halves = np.empty(held + 2 * len(words), dtype=np.uint64)
+        if held:
+            halves[0] = self._half
+        halves[held::2] = words & _MASK32
+        halves[held + 1::2] = words >> 32
+        return halves[:count]
 
     def _half_word(self) -> int:
         half = self._half
@@ -280,11 +330,50 @@ class RawDraws:
                 x = self._word() * m
         return low + (x >> 64)
 
+    def pairs(self, first: int, second: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` pairs ``(integers(first), integers(second))``, drawn in turn.
+
+        Returns the pairs' first and second values as two int64 arrays:
+        the values that ``count`` alternating scalar calls would return,
+        with the stream left where they would leave it. When both bounds
+        lie in [2, 2**32), a draw takes one half-word unless Lemire's test
+        rejects it. So the block is replayed in numpy: the next half-words
+        are scaled by their lanes' bounds, the lanes before the first
+        rejected one are taken at once, and the rejected lane is finished
+        on the scalar path, which draws past the rejection; then the rest
+        of the block goes on the same way. Other bounds take the scalar
+        path for the whole block.
+        """
+        out = np.empty(2 * count, dtype=np.int64)
+        if not (2 <= first < 0x100000000 and 2 <= second < 0x100000000):
+            out[:] = [self.integers(m) for _ in range(count) for m in (first, second)]
+            return out[0::2], out[1::2]
+        lane_bound = np.tile(np.array([first, second], dtype=np.uint64), count)
+        # a scaled half-word whose low half falls below this is rejected
+        lane_floor = np.tile(np.array([(0x100000000 - first) % first,
+                                       (0x100000000 - second) % second], dtype=np.uint64), count)
+        done = 0
+        while done < 2 * count:
+            x = self._next_halves(2 * count - done) * lane_bound[done:]
+            rejected = np.flatnonzero(x & _MASK32 < lane_floor[done:])
+            take = int(rejected[0]) if len(rejected) else len(x)
+            out[done:done + take] = x[:take] >> 32
+            self._skip_halves(take)
+            done += take
+            if done < 2 * count:
+                out[done] = self.integers(int(lane_bound[done]))
+                done += 1
+        return out[0::2], out[1::2]
+
     def bytes(self, length: int) -> bytes:
         """``length`` random bytes, as ``Generator.bytes`` gives them."""
         halves = [self._half_word() for _ in range((length + 3) // 4)]
         return b"".join(h.to_bytes(4, "little") for h in halves)[:length]
 
+
+# Most samples one ``draws`` call is asked for: bounds the memory a block
+# takes without costing the loop more than a call per 4,096 samples.
+_DRAW_BLOCK = 4096
 
 # Relative slack on the tolerance when choosing which checks to skip. The
 # gap formula loses a few ulps to rounding, and the running sum a few more;
@@ -325,7 +414,7 @@ def next_check(
 def run_sampling_loop(
     cfg,
     terms: Callable[..., tuple[float, float]],
-    plan: Callable[[RawDraws], tuple[Callable[[], float], int, float] | None],
+    plan: Callable[[RawDraws], tuple[Callable[[int], Sequence[float]], int, float] | None],
 ) -> Estimate:
     """Drive one estimation run to its stopping point and report it.
 
@@ -333,9 +422,11 @@ def run_sampling_loop(
     ``seed`` and ``fixed_samples`` are read. ``terms`` is ``stopping_terms``
     as the calling module looks it up, so a patch there sees every call.
     ``plan(rng)`` gets the run's ``RawDraws``, seeded through ``make_rng``
-    (``seed`` reports the seed used), and returns ``(draw, budget, bound)``:
-    ``draw()`` gives one contribution in ``[0, bound]``, ``budget`` is the
-    fallback sample count for half the failure probability.
+    (``seed`` reports the seed used), and returns ``(draws, budget, bound)``:
+    ``draws(count)`` returns the next ``count`` contributions of the run,
+    each in ``[0, bound]``, in the order of the random stream, and
+    ``budget`` is the fallback sample count for half the failure
+    probability.
 
     * A plan that returns None (a root that cannot score) gives a
       ``degenerate-zero``: all counts zero, ``lower_conf == upper_conf == 0.0``.
@@ -376,6 +467,15 @@ def run_sampling_loop(
     term is used, since the lower term can rise with t (it has a hump
     below the safe region); with one risk for both terms it never exceeds
     the upper one anyway.
+
+    The samples between two checks are asked for in one ``draws`` call:
+    exactly as many as lie up to the next check (or the budget), at most
+    ``_DRAW_BLOCK`` at a time, and summed in stream order. So no sample is
+    drawn past the one at which the run stops, the generator is read as
+    far as draw-by-draw sampling would read it, and the running sum, the
+    checks and the stop are those of a loop that draws one sample at a
+    time. A plan may draw a block at once, as coverage does, or one sample
+    after another, as betweenness and k-path do.
     """
     started = time.perf_counter()
     generator, seed = make_rng(cfg.seed)
@@ -393,7 +493,7 @@ def run_sampling_loop(
             wall_time=time.perf_counter() - started,
             hits=0,
         )
-    draw, budget, bound = setup
+    draws, budget, bound = setup
     tolerance = cfg.tolerance
     if cfg.fixed_samples is not None:
         budget = cfg.fixed_samples
@@ -415,11 +515,12 @@ def run_sampling_loop(
                 stop_reason = "bounds-satisfied"
                 break
             check_at = next_check(gap_terms, total, tau, b, budget, tolerance)
-        c = draw()
-        if c != 0.0:
-            acc.add(c)
-            hits += 1
-        tau += 1
+        count = min(check_at, budget, tau + _DRAW_BLOCK) - tau
+        for c in draws(count):
+            if c != 0.0:
+                acc.add(c)
+                hits += 1
+        tau += count
     # tau contributions of at most ``bound`` each, summed and divided by tau,
     # can round one ulp above ``bound``; the true mean cannot exceed it.
     mean = min(acc.value / tau, bound) if tau > 0 else 0.0

@@ -9,9 +9,18 @@ no other pair can put the root on its drawn path. Restricting the
 endpoint draws to the root's upstream and downstream sets shrinks the
 per-sample range from 1 to the pair fraction, which is where the sample
 savings over unrestricted sampling come from.
+
+A coverage sample draws its two endpoints and nothing else, so coverage
+draws a whole block of pairs at once and gates it in numpy
+(``RawDraws.pairs`` and ``shortest_path_gate``); betweenness interleaves
+path draws with its pair draws, so it draws pair by pair.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
 
 from .adaptive import (
     Estimate,
@@ -27,25 +36,36 @@ from .shortest_paths import (
     build_shortest_path_dag,
     on_some_shortest_path,
     sample_uniform_path,
+    shortest_path_gate,
 )
 
 __all__ = ["estimate_betweenness", "estimate_coverage"]
+
+
+class _Pools(NamedTuple):
+    """The vertices a run draws its sources and targets from, as sorted
+    tuples and as int64 arrays."""
+
+    sources: tuple[int, ...]
+    targets: tuple[int, ...]
+    source_array: np.ndarray
+    target_array: np.ndarray
 
 
 def _pair_loop(
     g: DirectedGraph,
     root: int,
     cfg: EstimatorConfig,
-    hit_test,
+    draws_for,
 ) -> Estimate:
     """Run ``run_sampling_loop`` over endpoint pairs drawn for the root.
 
-    ``hit_test(rng, reach, s, t, space)`` decides whether the drawn pair
-    counts for the root; ``space`` is search scratch allocated once per run.
-    A root without an in-edge or an out-edge lies on no path: the plan
-    returns None. The budget is ``compute_sample_budget``. Restricted mode
-    draws from upstream x downstream and contributes the pair fraction per
-    hit; baseline draws from all non-root vertices and contributes 1.
+    ``draws_for(rng, reach, pools, bound)`` returns the run's ``draws``,
+    with ``pools`` a ``_Pools``. A root without an in-edge or an out-edge
+    lies on no path: the plan returns None. The budget is ``compute_sample_budget``.
+    Restricted mode draws from upstream x downstream and contributes the
+    pair fraction per hit; baseline draws from all non-root vertices and
+    contributes 1.
     """
 
     def plan(rng):
@@ -56,29 +76,17 @@ def _pair_loop(
 
         reach = compute_reachability(g, root)
         if cfg.mode == "baseline":
-            pool = tuple(v for v in g.vertices() if v != root)
-            sources = targets = pool
+            pool = np.delete(np.arange(g.vertex_count), root)
+            others = tuple(pool.tolist())
+            pools = _Pools(others, others, pool, pool)
             bound = 1.0
         else:
-            sources = tuple(sorted(reach.upstream))
-            targets = tuple(sorted(reach.downstream))
+            pools = _Pools(reach.sources, reach.targets, reach.source_array, reach.target_array)
             bound = float(reach.pair_fraction)
         budget = compute_sample_budget(
             cfg.tolerance, cfg.failure_prob, reach.diameter_vertex_bound
         )
-
-        n_src = len(sources)
-        n_tgt = len(targets)
-        space = _SearchSpace(g)
-
-        def draw() -> float:
-            s = sources[rng.integers(n_src)]
-            t = targets[rng.integers(n_tgt)]
-            if s == t:
-                return 0.0
-            return bound if hit_test(rng, reach, s, t, space) else 0.0
-
-        return draw, budget, bound
+        return draws_for(rng, reach, pools, bound), budget, bound
 
     return run_sampling_loop(cfg, stopping_terms, plan)
 
@@ -99,25 +107,51 @@ def estimate_betweenness(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> E
     the path structure and the draw.
     """
 
-    def hit_test(rng, reach, s: int, t: int, space) -> bool:
-        if not on_some_shortest_path(g, s, t, reach, space):
-            return False
-        dag = build_shortest_path_dag(g, s, t, space)
-        return root in sample_uniform_path(dag, rng).vertices
+    def draws_for(rng, reach, pools, bound):
+        sources, targets = pools.sources, pools.targets
+        n_src = len(sources)
+        n_tgt = len(targets)
+        space = _SearchSpace(g)
 
-    return _pair_loop(g, root, cfg, hit_test)
+        def draw() -> float:
+            s = sources[rng.integers(n_src)]
+            t = targets[rng.integers(n_tgt)]
+            if s == t or not on_some_shortest_path(g, s, t, reach, space):
+                return 0.0
+            dag = build_shortest_path_dag(g, s, t, space)
+            return bound if root in sample_uniform_path(dag, rng).vertices else 0.0
+
+        return lambda count: [draw() for _ in range(count)]
+
+    return _pair_loop(g, root, cfg, draws_for)
 
 
 def estimate_coverage(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> Estimate:
     """Estimate the fraction of ordered pairs the root covers.
 
     A pair counts when the root lies on at least one shortest path between
-    its endpoints, decided by comparing the two precomputed BFS legs
-    through the root against the pair's true distance. Same endpoint draws
-    and stopping machinery as the betweenness estimator.
+    its endpoints, decided by comparing the two BFS legs through the root
+    against the pair's true distance. Same endpoint draws and stopping
+    machinery as the betweenness estimator, but a block at a time: the
+    block's pairs are the ones the scalar draws would give, and the gate
+    searches its undecided pairs in stream order, so every seeded output
+    is the one a pair-by-pair run gives.
     """
 
-    def hit_test(rng, reach, s: int, t: int, space) -> bool:
-        return on_some_shortest_path(g, s, t, reach, space)
+    def draws_for(rng, reach, pools, bound):
+        source_array, target_array = pools.source_array, pools.target_array
+        n_src = len(source_array)
+        n_tgt = len(target_array)
+        space = _SearchSpace(g)
 
-    return _pair_loop(g, root, cfg, hit_test)
+        def draws(count: int) -> list[float]:
+            first, second = rng.pairs(n_src, n_tgt, count)
+            out = [0.0] * count
+            for i in shortest_path_gate(g, source_array[first], target_array[second],
+                                        reach, space):
+                out[i] = bound
+            return out
+
+        return draws
+
+    return _pair_loop(g, root, cfg, draws_for)

@@ -201,8 +201,8 @@ def _cmd_reach(args) -> dict:
     reach = compute_reachability(g, v)
     return {
         "vertex": args.vertex,
-        "upstream_count": len(reach.upstream),
-        "downstream_count": len(reach.downstream),
+        "upstream_count": len(reach.sources),
+        "downstream_count": len(reach.targets),
         "domain_size": len(reach.domain),
         "pair_fraction": float(reach.pair_fraction),
         "pair_fraction_exact": str(reach.pair_fraction),

@@ -223,19 +223,19 @@ def restricted_pair_betweenness(g: DirectedGraph, root: int):
         raise GuardError("betweenness needs at least 2 vertices")
     reach = compute_reachability(g, root)
     exact = n <= EXACT_ARITHMETIC_THRESHOLD
-    if not reach.upstream or not reach.downstream:
+    if not reach.sources or not reach.targets:
         return Fraction(0) if exact else 0.0
 
     from_root = [-1] * n
     sigma_from_root = [0] * n
     _count_paths(g._fwd, root, from_root, sigma_from_root)
-    targets = sorted(reach.downstream)
+    targets = reach.targets
     dist = [-1] * n
     sigma = [0] * n
 
     total = Fraction(0) if exact else 0.0
     divide = Fraction if exact else truediv
-    for s in sorted(reach.upstream):
+    for s in reach.sources:
         order = _count_paths(g._fwd, s, dist, sigma)
         d_to_root = dist[root]
         count_to_root = sigma[root]
@@ -312,7 +312,7 @@ def exact_kpath(g: DirectedGraph, root: int, k: int, weight: str = "original") -
         raise ValueError(f"weight must be 'original' or 'restricted', got {weight!r}")
     reach = compute_reachability(g, root)
 
-    domain = reach.domain
+    in_domain = ((reach.to_root_array <= n) | (reach.from_root_array <= n)).tolist()
     adj = g._fwd
     restricted = weight == "restricted"
     total = Fraction(0)
@@ -321,7 +321,7 @@ def exact_kpath(g: DirectedGraph, root: int, k: int, weight: str = "original") -
         nonlocal total
         if depth == k:
             return
-        candidates = [v for v in adj[u] if v in domain and v not in visited]
+        candidates = [v for v in adj[u] if in_domain[v] and v not in visited]
         if not candidates:
             return
         if restricted:
@@ -337,6 +337,6 @@ def exact_kpath(g: DirectedGraph, root: int, k: int, weight: str = "original") -
             extend(v, depth + 1, den, visited, now_touched)
             visited.remove(v)
 
-    for s in sorted(reach.upstream):
+    for s in reach.sources:
         extend(s, 0, 1, {s}, False)
     return total / (k * n)

@@ -12,8 +12,9 @@ across concurrent estimator runs.
 Breadth-first searches run in scipy's C traversal over a CSR form of the
 adjacency. A graph builds that form, forward and reverse, on its first
 search and keeps it, so parsing never pays for it; ``bfs_distances``
-returns the same dict, in the same order, as a queue-driven search over
-the sorted adjacency tuples. The same traversal fills a second lazily
+returns a read-only map with the same items, in the same order, as the
+dict a queue-driven search over the sorted adjacency tuples would fill,
+kept as the traversal's two arrays. The same traversal fills a second lazily
 built structure, the hop distances to and from the graph's ``LANDMARKS``
 highest-degree vertices, which the shortest-path gate reads to rule out
 pairs without a search.
@@ -21,6 +22,7 @@ pairs without a search.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import accumulate, chain
 from typing import IO, Iterable, Iterator
 
@@ -34,6 +36,7 @@ __all__ = [
     "loads_edge_list",
     "dump_edge_list",
     "bfs_distances",
+    "LevelMap",
 ]
 
 # Vertices of highest in + out degree whose hop distances a graph keeps.
@@ -256,8 +259,10 @@ def load_edge_list(stream: IO[str]) -> DirectedGraph:
     """Parse a whitespace edge list from a text stream.
 
     Each non-comment line must hold exactly two whitespace-separated labels.
-    Raises :class:`GraphParseError` (with line number) on malformed lines and
-    on input that yields no vertices at all.
+    One byte-order mark (U+FEFF) at the very start is dropped, so a file
+    saved with one does not gain a phantom first label. Raises
+    :class:`GraphParseError` (with line number) on malformed lines and on
+    input that yields no vertices at all.
     """
     label_ids: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
@@ -270,6 +275,8 @@ def load_edge_list(stream: IO[str]) -> DirectedGraph:
         return vid
 
     for lineno, raw in enumerate(stream, start=1):
+        if lineno == 1 and raw.startswith("\ufeff"):
+            raw = raw[1:]
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -309,12 +316,48 @@ def dump_edge_list(g: DirectedGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def bfs_distances(g: DirectedGraph, source: int, direction: str = "forward") -> dict[int, int]:
+class LevelMap(Mapping):
+    """Read-only map from each vertex a BFS reached to its hop count.
+
+    Holds the traversal's visit ``order`` and the matching ``depth`` of
+    each visited vertex as two arrays, and iterates in visit order, so it
+    lists the same items in the same order as the dict a FIFO search would
+    fill. Reading the arrays builds nothing; the first lookup builds that
+    dict and keeps it. Equal to any mapping with the same items.
+    """
+
+    __slots__ = ("order", "depth", "_dict")
+
+    def __init__(self, order: np.ndarray, depth: np.ndarray):
+        self.order = order
+        self.depth = depth
+        self._dict = None
+
+    def _lookup(self) -> dict[int, int]:
+        if self._dict is None:
+            self._dict = dict(zip(self.order.tolist(), self.depth.tolist()))
+        return self._dict
+
+    def __getitem__(self, v: int) -> int:
+        return self._lookup()[v]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.order.tolist())
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __repr__(self) -> str:
+        return f"LevelMap({self._lookup()!r})"
+
+
+def bfs_distances(g: DirectedGraph, source: int, direction: str = "forward") -> LevelMap:
     """Hop distances from ``source``; unreachable vertices are absent.
 
     ``direction="reverse"`` walks edges backwards, i.e. computes distances
-    *to* ``source`` in the original orientation. The dict lists vertices
-    in the order a FIFO search over the sorted adjacency visits them.
+    *to* ``source`` in the original orientation. The map lists vertices
+    in the order a FIFO search over the sorted adjacency visits them, so
+    the deepest comes last.
 
     scipy's ``breadth_first_order`` visits in exactly that queue order, so
     its order is level order and the positions of the parents along it
@@ -329,8 +372,7 @@ def bfs_distances(g: DirectedGraph, source: int, direction: str = "forward") -> 
         csr = g._search_matrices()[1]
     else:
         raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-    order, depth = _bfs_levels(csr, source)
-    return dict(zip(order.tolist(), depth.tolist()))
+    return LevelMap(*_bfs_levels(csr, source))
 
 
 def _bfs_levels(csr, source: int) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,8 @@ import math
 from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 
+import numpy as np
+
 from .adaptive import (
     Estimate,
     check_accuracy,
@@ -124,26 +126,27 @@ class _WalkSpace:
     also reaches the out-neighbours of every vertex it reaches, so the
     other lists of domain vertices stay inside the domain.
 
-    ``to_root[v]`` is the hop count from v to the root, or one more than
-    the vertex count when v is not upstream (no walk from v can reach the
-    root).
+    ``to_root`` is ``reach.to_root`` itself: the hop count from v to the
+    root, or one more than the vertex count when v is not upstream (no walk
+    from v can reach the root).
     """
 
     __slots__ = ("adj", "to_root")
 
     def __init__(self, g: DirectedGraph, reach: ReachabilityInfo):
         n = g.vertex_count
-        domain = reach.domain
-        if len(domain) == n:
+        upstream = reach.to_root_array <= n
+        downstream = reach.from_root_array <= n
+        inside = upstream | downstream
+        if inside.all():
             self.adj = g._fwd
         else:
             adj = list(g._fwd)
-            for u in reach.upstream - reach.downstream:
-                adj[u] = tuple(v for v in adj[u] if v in domain)
+            in_domain = inside.tolist()
+            for u in np.flatnonzero(upstream & ~downstream).tolist():
+                adj[u] = tuple(v for v in adj[u] if in_domain[v])
             self.adj = adj
-        self.to_root = [n + 1] * n
-        for v, d in reach.dist_to_root.items():
-            self.to_root[v] = d
+        self.to_root = reach.to_root
 
 
 def compute_walk_budget(
@@ -184,14 +187,15 @@ def sample_walk(
     """
     if target_length < 1:
         raise ValueError("target_length must be >= 1")
-    if source not in reach.upstream:
+    root = reach.root
+    n = g.vertex_count
+    if not (0 <= source < n and source != root and reach.to_root[source] <= n):
         raise ValueError("walk sources must lie in the root's upstream set")
     if space is None:
         space = _WalkSpace(g, reach)
     adj = space.adj
     fwd = g._fwd
     to_root = space.to_root
-    root = reach.root
 
     path = [source]
     current = source
@@ -261,7 +265,7 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
             return None
 
         reach = compute_reachability(g, root)
-        sources = tuple(sorted(reach.upstream))
+        sources = reach.sources
         bound = float(reach.source_fraction)
         budget = compute_walk_budget(cfg.tolerance, cfg.failure_prob / 2.0, bound)
 
@@ -283,6 +287,6 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
                 return n_src * walk.probability_denominator / (n * walk.weight_denominator)
             return 0.0
 
-        return draw, budget, bound
+        return lambda count: [draw() for _ in range(count)], budget, bound
 
     return run_sampling_loop(cfg, stopping_terms, plan)

@@ -39,12 +39,17 @@ highest-degree vertices: a detour through such a vertex that is shorter
 than the route through the root shows d(s, t) is shorter too (the upper
 bound of landmark distance estimation). The gate draws no random words
 and gives the answer the search would give, so no sample's law moves.
+``shortest_path_gate`` runs the same gate over a whole block of pairs: the
+legs and the landmark bound are array operations, and only the pairs they
+leave undecided are searched, one by one, in block order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
+
+import numpy as np
 
 from .graph import FAR, DirectedGraph
 from .reachability import ReachabilityInfo
@@ -56,6 +61,7 @@ __all__ = [
     "sample_uniform_path",
     "shortest_path_length",
     "on_some_shortest_path",
+    "shortest_path_gate",
 ]
 
 _INT63 = 2**63 - 1
@@ -355,18 +361,21 @@ def on_some_shortest_path(
     """True iff ``reach.root`` lies on at least one shortest source-target path.
 
     Pure distance test: L = d(source, root) + d(root, target) equals
-    d(source, target), with the two legs read off the precomputed
-    reachability maps. Before it searches, the test reads the graph's
-    landmark table (:meth:`DirectedGraph._landmark_distances`): a landmark
-    h with d(source, h) + d(h, target) < L proves d(source, target) < L,
-    so the answer is False with no search. The table is read only when
-    L < ``FAR``; a sum below L then holds no saturated entry. Otherwise,
-    or when no landmark proves it, ``space`` is passed on to
+    d(source, target). The two legs are ``reach.to_root[source]`` and
+    ``reach.from_root[target]``; a leg at the ``unreached`` sentinel means
+    no path through the root, and the answer is False. Before it searches,
+    the test reads the graph's landmark table
+    (:meth:`DirectedGraph._landmark_distances`): a landmark h with
+    d(source, h) + d(h, target) < L proves d(source, target) < L, so the
+    answer is False with no search. The table is read only when L < ``FAR``;
+    a sum below L then holds no saturated entry. Otherwise, or when no
+    landmark proves it, ``space`` is passed on to
     :func:`shortest_path_length`, whose distance decides.
     """
-    to_root = reach.dist_to_root.get(source)
-    from_root = reach.dist_from_root.get(target)
-    if to_root is None or from_root is None:
+    unreached = reach.unreached
+    to_root = reach.to_root[source]
+    from_root = reach.from_root[target]
+    if to_root == unreached or from_root == unreached:
         return False
     length = to_root + from_root
     if length < FAR:
@@ -376,3 +385,43 @@ def on_some_shortest_path(
             return False
     d = shortest_path_length(g, source, target, space)
     return d is not None and length == d
+
+
+def shortest_path_gate(
+    g: DirectedGraph,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    reach: ReachabilityInfo,
+    space: _SearchSpace,
+) -> list[int]:
+    """Lanes i, in order, with sources[i] != targets[i] and the root on a
+    shortest path between them.
+
+    Gives, lane by lane, the answer of :func:`on_some_shortest_path`, and
+    makes the same :func:`shortest_path_length` calls in lane order, but
+    decides the legs and the landmark bound for the whole block at once:
+    the legs come from ``reach.to_root_array`` and ``reach.from_root_array``,
+    and the landmark sums from an n x width ``uint8`` view of the graph's
+    table, which is read only when some lane has L < ``FAR``, as in the
+    scalar test. A lane whose ends coincide fails with no search: the
+    estimators score such a pair 0 before they test it.
+    """
+    to_leg = reach.to_root_array[sources]
+    from_leg = reach.from_root_array[targets]
+    length = to_leg + from_leg
+    unreached = reach.unreached
+    live = (to_leg != unreached) & (from_leg != unreached) & (sources != targets)
+    near = np.flatnonzero(live & (length < FAR))
+    if len(near):
+        to_landmark, from_landmark, width = g._landmark_distances()
+        n = g.vertex_count
+        to_table = np.frombuffer(to_landmark, dtype=np.uint8).reshape(n, width)
+        from_table = np.frombuffer(from_landmark, dtype=np.uint8).reshape(n, width)
+        detour = (to_table[sources[near]].astype(np.int16) + from_table[targets[near]]).min(axis=1)
+        live[near[detour < length[near]]] = False
+    lanes = np.flatnonzero(live)
+    return [
+        i for i, s, t, d in zip(lanes.tolist(), sources[lanes].tolist(),
+                                targets[lanes].tolist(), length[lanes].tolist())
+        if shortest_path_length(g, s, t, space) == d
+    ]

@@ -18,6 +18,7 @@ from pathcentral.adaptive import (
     run_sampling_loop,
     stopping_terms,
 )
+from pathcentral.adaptive import _DRAW_BLOCK
 
 import oracles
 
@@ -189,6 +190,46 @@ class TestRawDraws:
         raw = RawDraws(used)
         assert [raw.integers(10) for _ in range(5)] == [reference.integers(10) for _ in range(5)]
 
+    # 3 * 2**30 rejects a quarter of its half-words, 2**31 + 1 almost half
+    PAIR_BOUNDS = st.sampled_from([1, 2, 3, 20_000, 2**31 + 1, 3 * 2**30, 2**32 - 1,
+                                   2**32, 2**32 + 1]) | st.integers(1, 2**33)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        words=st.integers(0, 1100),
+        before=st.lists(PAIR_BOUNDS, max_size=3),
+        blocks=st.lists(st.tuples(PAIR_BOUNDS, PAIR_BOUNDS, st.integers(0, 1400)),
+                        min_size=1, max_size=3),
+        after=st.lists(PAIR_BOUNDS, min_size=1, max_size=3),
+    )
+    def test_pairs_equal_alternating_scalar_draws(self, seed, words, before, blocks, after):
+        raw = RawDraws(np.random.default_rng(seed))
+        scalar = RawDraws(np.random.default_rng(seed))
+        # full words first, so that blocks start anywhere in the 1,024-word
+        # refill; an odd number of half-word draws before a block leaves a
+        # half-word held on entry
+        for m in [2**40] * words + before:
+            assert raw.integers(m) == scalar.integers(m)
+        for first, second, count in blocks:
+            got_first, got_second = raw.pairs(first, second, count)
+            expected = [scalar.integers(m) for _ in range(count) for m in (first, second)]
+            assert got_first.tolist() == expected[0::2]
+            assert got_second.tolist() == expected[1::2]
+            assert raw._half == scalar._half
+        assert [raw.integers(m) for m in after] == [scalar.integers(m) for m in after]
+        assert raw.bytes(5) == scalar.bytes(5)
+        assert raw._bit_generator.state == scalar._bit_generator.state
+
+    def test_pairs_replay_rejections(self):
+        # a quarter of the lanes at 3 * 2**30 reject their first half-word
+        raw = RawDraws(np.random.default_rng(4))
+        scalar = RawDraws(np.random.default_rng(4))
+        first, second = raw.pairs(3 * 2**30, 5, 3000)
+        expected = [scalar.integers(m) for _ in range(3000) for m in (3 * 2**30, 5)]
+        assert first.tolist() == expected[0::2] and second.tolist() == expected[1::2]
+        assert [raw.integers(9) for _ in range(4)] == [scalar.integers(9) for _ in range(4)]
+
     def test_refusals(self):
         raw = RawDraws(np.random.default_rng(0))
         for args in [(0,), (-3,), (5, 5), (5, 4)]:
@@ -199,7 +240,8 @@ class TestRawDraws:
 
 
 def run_loop(draw, budget, gap_terms, bound=1.0):
-    """Run with the plan's ``draw``, ``budget`` and ``bound`` at tolerance 0.05.
+    """Run at tolerance 0.05 with the plan's ``budget`` and ``bound``, and
+    draws that call ``draw()`` once per sample.
 
     ``gap_terms(mean, tau)`` stands in for the bound gap terms; None makes
     the run fixed at ``budget`` samples.
@@ -207,7 +249,8 @@ def run_loop(draw, budget, gap_terms, bound=1.0):
     cfg = EstimatorConfig(tolerance=0.05, failure_prob=0.1, seed=0,
                           fixed_samples=budget if gap_terms is None else None)
     return run_sampling_loop(cfg, lambda mean, tau, mass, risk: gap_terms(mean, tau),
-                             lambda rng: (draw, budget, bound))
+                             lambda rng: (lambda count: [draw() for _ in range(count)],
+                                          budget, bound))
 
 
 class TestSamplingLoop:
@@ -278,7 +321,7 @@ class TestSamplingLoop:
             raise AssertionError("a fixed run has no gap terms")
 
         cfg = EstimatorConfig(tolerance=0.05, failure_prob=0.1, seed=3, fixed_samples=7)
-        est = run_sampling_loop(cfg, gaps, lambda rng: (lambda: 0.5, 400, 0.5))
+        est = run_sampling_loop(cfg, gaps, lambda rng: (lambda count: [0.5] * count, 400, 0.5))
         assert (est.samples, est.sample_budget, est.stop_reason) == (7, 7, "budget-reached")
         assert est.lower_conf is None and est.upper_conf is None
 
@@ -296,6 +339,60 @@ class TestSamplingLoop:
         # the gaps that passed are the ones reported: no second evaluation
         # once the third draw is in
         assert [c for c in calls if c[1] == 3] == [(3, 3)]
+
+
+class TestDrawBlocks:
+    def test_fixed_run_asks_for_whole_blocks(self):
+        asked = []
+
+        def draws(count):
+            asked.append(count)
+            return [0.25] * count
+
+        cfg = EstimatorConfig(tolerance=0.05, failure_prob=0.1, seed=0, fixed_samples=10_000)
+        est = run_sampling_loop(cfg, stopping_terms, lambda rng: (draws, 400, 0.5))
+        assert asked == [_DRAW_BLOCK, _DRAW_BLOCK, 10_000 - 2 * _DRAW_BLOCK]
+        assert (est.samples, est.hits) == (10_000, 10_000)
+
+    @pytest.mark.parametrize("hit_every", [1, 3, 50])
+    def test_blocks_end_at_the_checks_and_the_stop(self, hit_every):
+        # every block but the last ends where a check is made, nothing is
+        # drawn past the stop, and the run is the one a check before every
+        # draw gives
+        def contribution(i):
+            return 0.1 if i % hit_every == 0 else 0.0
+
+        asked = []
+        checks = []
+
+        def gaps(mean, tau, mass, risk):
+            checks.append(tau)
+            return stopping_terms(mean, tau, mass, risk)
+
+        def draws(count):
+            start = sum(asked)
+            asked.append(count)
+            return [contribution(i) for i in range(start, start + count)]
+
+        cfg = EstimatorConfig(tolerance=0.01, failure_prob=0.1, seed=0)
+        budget = 10**5
+        est = run_sampling_loop(cfg, gaps, lambda rng: (draws, budget, 0.1))
+        assert sum(asked) == est.samples
+        ends = [sum(asked[:i + 1]) for i in range(len(asked))]
+        assert set(ends[:-1]) <= set(checks)
+
+        acc = CompensatedSum()
+        tau = hits = 0
+        risk = gap_term_risk(cfg.failure_prob)
+        while tau < budget:
+            if tau and max(stopping_terms(acc.value / tau, tau, budget * 0.1, risk)) <= 0.01:
+                break
+            if contribution(tau):
+                acc.add(contribution(tau))
+                hits += 1
+            tau += 1
+        assert (est.samples, est.hits, est.value) == (tau, hits, acc.value / tau)
+        assert est.stop_reason == "bounds-satisfied"
 
 
 class TestSkippedChecks:
@@ -359,7 +456,8 @@ class TestSkippedChecks:
         cfg = EstimatorConfig(tolerance=0.01, failure_prob=0.1, seed=0)
         est = run_sampling_loop(
             cfg, gaps,
-            lambda rng: (lambda: 0.1 if next(draws) % 3 == 0 else 0.0, 10**5, 0.1))
+            lambda rng: (lambda count: [0.1 if next(draws) % 3 == 0 else 0.0
+                                        for _ in range(count)], 10**5, 0.1))
         assert est.stop_reason == "bounds-satisfied"
         assert len(calls) < est.samples // 10
 

@@ -242,3 +242,30 @@ def test_gap_terms_are_looked_up_in_the_estimator_module(
     # the δ split: the budget's mass, and a quarter of δ for each gap term
     mass = est.sample_budget * est.contribution_bound
     assert all(c == {"mass": mass, "risk": config.failure_prob / 4} for c in calls)
+
+
+@pytest.mark.parametrize(
+    "module, estimate, config",
+    [
+        (pathcentral.betweenness, estimate_betweenness, cfg(fixed_samples=300)),
+        (pathcentral.betweenness, estimate_coverage, cfg(fixed_samples=300)),
+        (pathcentral.betweenness, estimate_coverage, cfg(mode="baseline")),
+        (pathcentral.kpath, estimate_kpath_centrality, KPathConfig(k=3, seed=99)),
+    ],
+    ids=["betweenness", "coverage", "coverage-baseline", "kpath"],
+)
+def test_estimators_read_only_the_flat_reachability_fields(monkeypatch, module, estimate, config):
+    # the set views and the distance maps are for callers that ask for them
+    g = random_digraph(30, 0.1, seed=2)
+    made = []
+
+    def keeping(*args):
+        made.append(compute_reachability(*args))
+        return made[-1]
+
+    monkeypatch.setattr(module, "compute_reachability", keeping)
+    estimate(g, 22, config)
+    (reach,) = made
+    assert not {"upstream", "downstream", "domain"} & set(vars(reach))
+    assert reach.dist_to_root._dict is None and reach.dist_from_root._dict is None
+

@@ -86,6 +86,21 @@ class TestParsing:
         assert g.labels == ("é", "ü", "北京")
         assert g.out_neighbors(g.id_of("ü")) == (g.id_of("北京"),)
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        g = loads_edge_list("\ufeffa b\nb a\n")
+        assert g.labels == ("a", "b")
+        assert g.edge_count == 2
+        assert loads_edge_list("\ufeff# saved with a mark\na b\n").labels == ("a", "b")
+        # the mark is dropped once, and only at the start of the input
+        assert loads_edge_list("\ufeff\ufeffa b").labels == ("\ufeffa", "b")
+        assert loads_edge_list("a b\n\ufeffb c").labels == ("a", "b", "\ufeffb", "c")
+        # the CLI and the benchmark open files as text, and see the mark as
+        # the first character of the first line
+        path = tmp_path / "marked.txt"
+        path.write_bytes("a b\r\nb a\r\n".encode("utf-8-sig"))
+        with open(path, encoding="utf-8") as fh:
+            assert load_edge_list(fh).labels == ("a", "b")
+
     def test_unknown_label_raises(self):
         g = loads_edge_list("a b")
         with pytest.raises(KeyError):
@@ -96,6 +111,60 @@ class TestParsing:
         assert dump_edge_list(load_edge_list(io.StringIO(text))) == dump_edge_list(
             loads_edge_list(text)
         )
+
+
+# One line of an edge list: an edge, a blank line, a comment, or a line
+# with the wrong number of labels. Labels are letters and digits of any
+# script, so no label holds whitespace or starts with "#".
+parse_labels = st.text(st.characters(categories=["L", "N"]), min_size=1, max_size=4)
+parse_lines = st.one_of(
+    st.tuples(st.just("edge"), parse_labels, parse_labels),
+    st.tuples(st.just("blank"), st.sampled_from(["", " ", "\t", "  \t "])),
+    st.tuples(st.just("comment"), st.sampled_from(["#", "# note", "  #x y z", "#\tä ö"])),
+    st.tuples(st.just("bad"), st.lists(parse_labels, min_size=0, max_size=4).filter(
+        lambda labs: len(labs) != 2 and labs)),
+)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(parse_lines, max_size=12),
+        endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=12, max_size=12),
+        last_ending=st.booleans(),
+        mark=st.booleans(),
+    )
+    def test_parses_or_names_the_line(self, lines, endings, last_ending, mark):
+        texts = []
+        for kind, *rest in lines:
+            if kind == "edge":
+                texts.append(f"{rest[0]} {rest[1]}")
+            elif kind == "bad":
+                texts.append(" ".join(rest[0]))
+            else:
+                texts.append(rest[0])
+        body = "".join(t + e for t, e in zip(texts, endings))
+        if texts and not last_ending:
+            body = body[:-len(endings[len(texts) - 1])]
+        text = ("\ufeff" if mark else "") + body
+
+        bad = [i for i, (kind, *_) in enumerate(lines, start=1) if kind == "bad"]
+        edges = [tuple(rest) for kind, *rest in lines if kind == "edge"]
+        if bad:
+            with pytest.raises(GraphParseError) as err:
+                loads_edge_list(text)
+            assert err.value.line_number == bad[0]
+            return
+        if not edges:
+            with pytest.raises(GraphParseError) as err:
+                loads_edge_list(text)
+            assert err.value.line_number is None
+            return
+        g = loads_edge_list(text)
+        assert g.labels == tuple(dict.fromkeys(lab for e in edges for lab in e))
+        assert {(g.labels[u], g.labels[v]) for u, v in g.edges()} == {
+            (a, b) for a, b in edges if a != b}
+        assert g.self_loops_dropped == sum(a == b for a, b in edges)
 
 
 class TestConstruction:

@@ -71,6 +71,34 @@ def test_distance_maps_match_plain_bfs():
         assert reach.dist_from_root == bfs_distances(g, v, direction="forward")
 
 
+def test_flat_fields_agree_with_the_views():
+    g = random_digraph(40, 0.05, seed=12)
+    n = g.vertex_count
+    for v in g.vertices():
+        reach = compute_reachability(g, v)
+        assert reach.unreached == n + 1
+        assert reach.sources == tuple(sorted(reach.upstream))
+        assert reach.targets == tuple(sorted(reach.downstream))
+        assert reach.to_root == [reach.dist_to_root.get(u, n + 1) for u in g.vertices()]
+        assert reach.from_root == [reach.dist_from_root.get(u, n + 1) for u in g.vertices()]
+        for array, flat in [(reach.to_root_array, reach.to_root),
+                            (reach.from_root_array, reach.from_root),
+                            (reach.source_array, reach.sources),
+                            (reach.target_array, reach.targets)]:
+            assert array.dtype == np.int64 and array.tolist() == list(flat)
+        assert reach.domain == {u for u in g.vertices()
+                                if reach.to_root[u] <= n or reach.from_root[u] <= n}
+
+
+def test_views_are_built_only_when_read():
+    g = random_digraph(30, 0.1, seed=3)
+    reach = compute_reachability(g, 5)
+    assert not {"upstream", "downstream", "domain"} & set(vars(reach))
+    assert reach.dist_to_root._dict is None and reach.dist_from_root._dict is None
+    assert reach.upstream is reach.upstream
+    assert "upstream" in vars(reach)
+
+
 def test_vertex_bound_covers_longest_relevant_path():
     for seed, p in [(1, 0.06), (2, 0.1), (3, 0.25)]:
         g = random_digraph(40, p, seed=seed)

@@ -13,6 +13,7 @@ from pathcentral.shortest_paths import (
     build_shortest_path_dag,
     on_some_shortest_path,
     sample_uniform_path,
+    shortest_path_gate,
     shortest_path_length,
 )
 
@@ -383,3 +384,49 @@ class TestLandmarkGate:
         assert from_landmark[299 * width:300 * width] == bytes([255] * 16)
         for s, r, t in [(0, 150, 299), (0, 254, 255), (20, 100, 200), (1, 2, 298)]:
             assert on_some_shortest_path(g, s, t, compute_reachability(g, r))
+
+
+class TestBlockGate:
+    @settings(max_examples=60, deadline=None)
+    @given(gate_graphs, st.floats(0, 1, exclude_max=True), st.integers(0, 2**32 - 1))
+    def test_equals_the_scalar_gate_lane_by_lane(self, g, at, seed):
+        # same answers, and the same searches in the same order
+        n = g.vertex_count
+        reach = compute_reachability(g, int(at * n))
+        pick = np.random.default_rng(seed)
+        # mostly upstream x downstream pairs, and some pairs of any vertices
+        ends = []
+        for pool in (reach.source_array, reach.target_array):
+            drawn = pick.choice(pool, 300) if len(pool) else pick.integers(n, size=300)
+            ends.append(np.concatenate([drawn, pick.integers(n, size=60)]))
+        sources, targets = ends
+        searched = []
+
+        def recording(g, s, t, space=None):
+            searched.append((s, t))
+            return shortest_path_length(g, s, t, space)
+
+        space = _SearchSpace(g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("pathcentral.shortest_paths.shortest_path_length", recording)
+            expected = [i for i, (s, t) in enumerate(zip(sources.tolist(), targets.tolist()))
+                        if s != t and on_some_shortest_path(g, s, t, reach, space)]
+            scalar_searches = list(searched)
+            searched.clear()
+            assert shortest_path_gate(g, sources, targets, reach, space) == expected
+        assert searched == scalar_searches
+
+    def test_decided_lanes_take_no_search(self, monkeypatch):
+        # (s, s), a source that cannot reach the root and a landmark detour
+        g = loads_edge_list("s r\nr x\nx t\ns h\nh t\nt s\nq t\n")
+        s, r, t, q = (g.id_of(lab) for lab in "srtq")
+        reach = compute_reachability(g, r)
+
+        def no_search(*args):
+            raise AssertionError("the block gate should decide every lane")
+
+        monkeypatch.setattr("pathcentral.shortest_paths.shortest_path_length", no_search)
+        lanes = shortest_path_gate(g, np.array([s, s, q]), np.array([s, t, t]), reach,
+                                   _SearchSpace(g))
+        assert lanes == []
+
