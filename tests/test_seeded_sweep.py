@@ -7,6 +7,13 @@ than one block of the sampling loop. The digests were recorded before the
 reachability context went flat and coverage pairs went into blocks; a change
 that moves any seeded value, count, budget, stop or confidence end moves
 them.
+
+The ``kpath-lanes-*`` groups are k-path runs long enough for the estimator to
+draw them through its lane kernel: 20,000 fixed samples, or adaptive runs
+whose budget is above 18,000, at k = 5 and k = 1, under both weights, on two
+roots of the hub graph and on a hub of ``_outskirts`` (the same graph with
+vertices that leave the root's domain). Their digests were recorded with the
+scalar draw, before the lane kernel existed.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import os
+from itertools import product
 
 import pytest
 
@@ -35,6 +43,17 @@ def _hub_graph() -> DirectedGraph:
                                     vertex_count=2000)
 
 
+def _outskirts(g: DirectedGraph) -> DirectedGraph:
+    """``g`` plus 100 sources and 100 sinks: source 2000 + i has edges to
+    three vertices of ``g`` and to sink 2100 + i, its only in-neighbour. A
+    sink is neither upstream nor downstream of a vertex of ``g``, so a walk
+    from a source has a candidate outside the domain."""
+    n = g.vertex_count
+    extra = [(n + i, v) for i in range(100) for v in (i, 7 * i + 3, 11 * i + 5)]
+    extra += [(n + i, n + 100 + i) for i in range(100)]
+    return DirectedGraph.from_edges(list(g.edges()) + extra, vertex_count=n + 200)
+
+
 @pytest.fixture(scope="module")
 def hub():
     g = _hub_graph()
@@ -47,8 +66,21 @@ def _fields(est) -> tuple:
     return tuple(getattr(est, f.name) for f in dataclasses.fields(est) if f.name != "wall_time")
 
 
+def _lane_runs(g, roots, length):
+    outskirts = _outskirts(g)
+    for graph, root in ((g, roots[0]), (g, roots[3]), (outskirts, roots[0])):
+        for k in (5, 1):
+            for weight, seed in product(("original", "restricted"), (17, 90)):
+                yield estimate_kpath_centrality(graph, root, KPathConfig(
+                    k=k, tolerance=0.01, failure_prob=0.1, seed=seed + k, weight=weight,
+                    fixed_samples=20000 if length == "fixed" else None))
+
+
 def _runs(g, roots, group):
     measure, mode, length = group.split("-")
+    if mode == "lanes":
+        yield from _lane_runs(g, roots, length)
+        return
     # the loose tolerance's small budget ends some adaptive runs at the budget
     for root in roots:
         for seed, tolerance in ((3, 0.05), (8, 0.05), (13, 0.2)):
@@ -87,6 +119,10 @@ SWEEP_DIGESTS = {
         "3aa5f83dcf36da8c768dbe772025c4426caca3bb8528a1a42d60f50fefdf0276",
     "kpath-walk-fixed":
         "7288f99047b3f9eb841524bbfa19f86abe23db105b29e6c140de9dbaf2b59ef6",
+    "kpath-lanes-adaptive":
+        "fe4966eec2fdd8790472a2970e4aa333d9b5e403948ee0fb47bf456d3db2b198",
+    "kpath-lanes-fixed":
+        "6181e4b815636f849b99a45b797eefb3bf37b5bdc120c45c11eccb7967f36614",
 }
 
 
