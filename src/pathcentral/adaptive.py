@@ -20,7 +20,9 @@ stream in blocks of raw 64-bit words and turns them into exactly the values
 ``Generator.integers`` and ``Generator.bytes`` would return, at a fraction
 of the cost of a scalar numpy call. ``RawDraws.pairs`` replays a whole
 block of alternating bounded draws in numpy, for the estimator whose
-samples draw nothing else.
+samples draw nothing else. ``RawDraws.peek`` and ``RawDraws.skip`` give
+the coming half-words as an array and then consume as many as were used,
+for the k-path lane kernel.
 """
 
 from __future__ import annotations
@@ -226,11 +228,14 @@ class RawDraws:
 
     Words are read from the generator ``_RAW_BLOCK`` at a time, and only
     when the next one is needed, whether by a scalar draw or a block.
-    ``_words`` iterates over ``_buffer``, the words last read, and its
-    remaining length says how many of them are still unread.
+    ``_buffer`` holds the words last read. When ``_listed`` is set,
+    ``_words`` iterates over them as Python ints and its remaining length
+    says how many are still unread; otherwise all of ``_buffer`` is unread,
+    and it is listed only when a scalar draw needs a word, so that block
+    draws, which read the array, make no Python int per word.
     """
 
-    __slots__ = ("_bit_generator", "_buffer", "_words", "_half")
+    __slots__ = ("_bit_generator", "_buffer", "_words", "_listed", "_half")
 
     def __init__(self, rng: np.random.Generator):
         state = rng.bit_generator.state
@@ -239,15 +244,26 @@ class RawDraws:
         self._bit_generator = rng.bit_generator
         self._buffer = np.empty(0, dtype=np.uint64)
         self._words = iter(())
+        self._listed = True
         self._half = state["uinteger"] if state["has_uint32"] else None
 
     def _word(self) -> int:
         word = next(self._words, None)
         if word is None:
-            self._buffer = self._bit_generator.random_raw(_RAW_BLOCK)
-            self._words = iter(self._buffer.tolist())
+            rest = self._rest()
+            if not len(rest):
+                rest = self._bit_generator.random_raw(_RAW_BLOCK)
+            self._buffer = rest
+            self._words = iter(rest.tolist())
+            self._listed = True
             word = next(self._words)
         return word
+
+    def _rest(self) -> np.ndarray:
+        """The words read from the generator and not yet consumed."""
+        if self._listed:
+            return self._buffer[len(self._buffer) - length_hint(self._words):]
+        return self._buffer
 
     def _unread(self, count: int) -> np.ndarray:
         """The next ``count`` words, left unread.
@@ -255,30 +271,22 @@ class RawDraws:
         Reads whole ``_RAW_BLOCK`` blocks from the generator only when the
         buffer holds fewer than ``count``.
         """
-        rest = self._buffer[len(self._buffer) - length_hint(self._words):]
+        rest = self._rest()
         if len(rest) < count:
             blocks = -(-(count - len(rest)) // _RAW_BLOCK)
             rest = np.concatenate([rest, self._bit_generator.random_raw(blocks * _RAW_BLOCK)])
             self._buffer = rest
-            self._words = iter(rest.tolist())
+            self._words = iter(())
+            self._listed = False
         return rest[:count]
 
-    def _skip_halves(self, count: int) -> None:
-        """Consume the next ``count`` half-words, which ``_unread`` has buffered."""
-        if count and self._half is not None:
-            self._half = None
-            count -= 1
-        if count:
-            words = (count + 1) // 2
-            rest = self._buffer[len(self._buffer) - length_hint(self._words):]
-            if count % 2:
-                # only the low half of the last word was taken
-                self._half = int(rest[words - 1]) >> 32
-            self._buffer = rest[words:]
-            self._words = iter(self._buffer.tolist())
+    def peek(self, count: int) -> np.ndarray:
+        """The next ``count`` half-words, in draw order, as uint64, left unread.
 
-    def _next_halves(self, count: int) -> np.ndarray:
-        """The next ``count`` half-words, in draw order, left unread."""
+        A draw with a bound in [2, 2**32) takes the first of them unless
+        Lemire's test rejects it. The array is the caller's own: later draws
+        do not change it.
+        """
         held = self._half is not None
         words = self._unread((count - held + 1) // 2)
         halves = np.empty(held + 2 * len(words), dtype=np.uint64)
@@ -287,6 +295,22 @@ class RawDraws:
         halves[held::2] = words & _MASK32
         halves[held + 1::2] = words >> 32
         return halves[:count]
+
+    def skip(self, count: int) -> None:
+        """Consume the next ``count`` half-words; a ``peek`` since the last
+        draw must have covered them."""
+        if count and self._half is not None:
+            self._half = None
+            count -= 1
+        if count:
+            words = (count + 1) // 2
+            rest = self._rest()
+            if count % 2:
+                # only the low half of the last word was taken
+                self._half = int(rest[words - 1]) >> 32
+            self._buffer = rest[words:]
+            self._words = iter(())
+            self._listed = False
 
     def _half_word(self) -> int:
         half = self._half
@@ -354,11 +378,11 @@ class RawDraws:
                                        (0x100000000 - second) % second], dtype=np.uint64), count)
         done = 0
         while done < 2 * count:
-            x = self._next_halves(2 * count - done) * lane_bound[done:]
+            x = self.peek(2 * count - done) * lane_bound[done:]
             rejected = np.flatnonzero(x & _MASK32 < lane_floor[done:])
             take = int(rejected[0]) if len(rejected) else len(x)
             out[done:done + take] = x[:take] >> 32
-            self._skip_halves(take)
+            self.skip(take)
             done += take
             if done < 2 * count:
                 out[done] = self.integers(int(lane_bound[done]))
