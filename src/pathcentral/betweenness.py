@@ -32,9 +32,9 @@ from .adaptive import (
 from .graph import DirectedGraph
 from .reachability import compute_reachability
 from .shortest_paths import (
+    _gate_length,
     _SearchSpace,
     build_shortest_path_dag,
-    on_some_shortest_path,
     sample_uniform_path,
     shortest_path_gate,
 )
@@ -103,8 +103,11 @@ def estimate_betweenness(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> E
     The path is drawn only for pairs that pass the coverage distance test
     d(s, r) + d(r, t) = d(s, t). A pair that fails it has no shortest path
     through the root, so the draw would miss with probability 1; skipping
-    it leaves each sample's law unchanged and saves the counting search,
-    the path structure and the draw.
+    it leaves each sample's law unchanged. The legs and the landmark table
+    decide most pairs with no search. The rest go straight to the counting
+    search, told L = d(s, r) + d(r, t): it gives up at its first contact
+    when d(s, t) < L, and otherwise builds the structure the path is drawn
+    from, so a passing pair is searched once.
     """
 
     def draws_for(rng, reach, pools, bound):
@@ -116,9 +119,12 @@ def estimate_betweenness(g: DirectedGraph, root: int, cfg: EstimatorConfig) -> E
         def draw() -> float:
             s = sources[rng.integers(n_src)]
             t = targets[rng.integers(n_tgt)]
-            if s == t or not on_some_shortest_path(g, s, t, reach, space):
+            length = None if s == t else _gate_length(g, s, t, reach)
+            if length is None:
                 return 0.0
-            dag = build_shortest_path_dag(g, s, t, space)
+            dag = build_shortest_path_dag(g, s, t, space, length=length)
+            if dag is None:
+                return 0.0
             return bound if root in sample_uniform_path(dag, rng).vertices else 0.0
 
         return lambda count: [draw() for _ in range(count)]

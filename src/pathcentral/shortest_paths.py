@@ -30,11 +30,13 @@ sigma_f * sigma_b, then follows parent links to each end, each parent
 weighted by that side's path count, which gives every shortest path
 probability exactly 1 / sigma(s, t).
 
-The membership gate, d(s, r) + d(r, t) = d(s, t), is the coverage test,
-and the betweenness estimator runs it before the builder, on the same
-scratch: the root can only be on a drawn path when it is on some shortest
-path. Most drawn pairs fail it, and most failures are proved without a
-search, from the graph's table of distances to and from its
+The membership gate, d(s, r) + d(r, t) = d(s, t), is the coverage test:
+the root can only be on a drawn betweenness path when it is on some
+shortest path. The betweenness estimator passes the pairs the gate cannot
+settle without a search straight to the builder with the known length,
+which gives up at its first contact when the pair fails, so a passing pair
+is searched once. Most drawn pairs fail the gate, and most failures are
+proved without a search, from the graph's table of distances to and from its
 highest-degree vertices: a detour through such a vertex that is shorter
 than the route through the root shows d(s, t) is shorter too (the upper
 bound of landmark distance estimation). The gate draws no random words
@@ -127,7 +129,12 @@ class _SearchSpace:
 
 
 def build_shortest_path_dag(
-    g: DirectedGraph, source: int, target: int, space: _SearchSpace | None = None
+    g: DirectedGraph,
+    source: int,
+    target: int,
+    space: _SearchSpace | None = None,
+    *,
+    length: int | None = None,
 ) -> ShortestPathDag | None:
     """Build the shortest-path structure for (source, target).
 
@@ -137,6 +144,13 @@ def build_shortest_path_dag(
     the same graph, shared with :func:`shortest_path_length`; without one a
     fresh scratch is allocated. The structure reads that scratch, so it
     is only valid until the scratch's next search.
+
+    ``length``, when given, is the length of some source-target path, so
+    d(source, target) is at most it. The search then also returns None
+    when d(source, target) is shorter: at the first contact the two radii
+    sum to the distance, and a sum below ``length`` ends the search there,
+    as :func:`shortest_path_length` would end it. Otherwise the search and
+    the structure are those of a call without ``length``.
 
     Each side labels a vertex with its distance, its path count and its
     first parent (the frontier vertex whose edge labelled it). Later
@@ -202,6 +216,9 @@ def build_shortest_path_dag(
             frontiers[side] = next_frontier
             continue
         break
+
+    if length is not None and radius[0] + radius[1] < length:
+        return None
 
     # The contact level: the frontier vertices before ``at`` have no contact
     # edge. Its contact edges are collected first, so the scan makes one
@@ -351,6 +368,33 @@ def shortest_path_length(
     return None
 
 
+def _gate_length(
+    g: DirectedGraph, source: int, target: int, reach: ReachabilityInfo
+) -> int | None:
+    """L = d(source, root) + d(root, target), or None when no search is
+    needed to see that the root is on no shortest source-target path.
+
+    The two legs are ``reach.to_root[source]`` and ``reach.from_root[target]``;
+    a leg at the ``unreached`` sentinel means no path through the root.
+    When L < ``FAR`` the graph's landmark table is read
+    (:meth:`DirectedGraph._landmark_distances`): a landmark h with
+    d(source, h) + d(h, target) < L proves d(source, target) < L. A sum
+    below L then holds no saturated entry.
+    """
+    unreached = reach.unreached
+    to_root = reach.to_root[source]
+    from_root = reach.from_root[target]
+    if to_root == unreached or from_root == unreached:
+        return None
+    length = to_root + from_root
+    if length < FAR:
+        to_landmark, from_landmark, width = g._landmark_distances()
+        i, j = source * width, target * width
+        if min(map(add, to_landmark[i:i + width], from_landmark[j:j + width])) < length:
+            return None
+    return length
+
+
 def on_some_shortest_path(
     g: DirectedGraph,
     source: int,
@@ -361,28 +405,13 @@ def on_some_shortest_path(
     """True iff ``reach.root`` lies on at least one shortest source-target path.
 
     Pure distance test: L = d(source, root) + d(root, target) equals
-    d(source, target). The two legs are ``reach.to_root[source]`` and
-    ``reach.from_root[target]``; a leg at the ``unreached`` sentinel means
-    no path through the root, and the answer is False. Before it searches,
-    the test reads the graph's landmark table
-    (:meth:`DirectedGraph._landmark_distances`): a landmark h with
-    d(source, h) + d(h, target) < L proves d(source, target) < L, so the
-    answer is False with no search. The table is read only when L < ``FAR``;
-    a sum below L then holds no saturated entry. Otherwise, or when no
-    landmark proves it, ``space`` is passed on to
-    :func:`shortest_path_length`, whose distance decides.
+    d(source, target). :func:`_gate_length` decides the pairs whose legs
+    or landmark distances settle it with no search. Otherwise ``space`` is
+    passed on to :func:`shortest_path_length`, whose distance decides.
     """
-    unreached = reach.unreached
-    to_root = reach.to_root[source]
-    from_root = reach.from_root[target]
-    if to_root == unreached or from_root == unreached:
+    length = _gate_length(g, source, target, reach)
+    if length is None:
         return False
-    length = to_root + from_root
-    if length < FAR:
-        to_landmark, from_landmark, width = g._landmark_distances()
-        i, j = source * width, target * width
-        if min(map(add, to_landmark[i:i + width], from_landmark[j:j + width])) < length:
-            return False
     d = shortest_path_length(g, source, target, space)
     return d is not None and length == d
 

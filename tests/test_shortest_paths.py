@@ -430,3 +430,25 @@ class TestBlockGate:
                                    _SearchSpace(g))
         assert lanes == []
 
+
+@settings(max_examples=60, deadline=None)
+@given(gate_graphs, st.floats(0, 1, exclude_max=True), st.integers(0, 2**32 - 1))
+def test_a_known_length_gives_up_on_shorter_pairs_only(g, at, seed):
+    # told a path length L >= d(s, t), the builder returns None when
+    # d(s, t) < L and otherwise the structure and draws of a plain call
+    n = g.vertex_count
+    pick = np.random.default_rng(seed)
+    space = _SearchSpace(g)
+    for s, t in pick.integers(n, size=(60, 2)).tolist():
+        d = shortest_path_length(g, s, t)
+        if s == t or d is None:
+            continue
+        for length in (d, d + 1, d + 3):
+            told = build_shortest_path_dag(g, s, t, space, length=length)
+            if length > d:
+                assert told is None
+                continue
+            drawn = sample_uniform_path(told, np.random.default_rng(seed)).vertices
+            plain = build_shortest_path_dag(g, s, t)
+            assert told == plain
+            assert drawn == sample_uniform_path(plain, np.random.default_rng(seed)).vertices
