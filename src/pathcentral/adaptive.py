@@ -206,6 +206,20 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _RAW_BLOCK = 1024
 
 
+def _lemire(halves: np.ndarray, bound, floor) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's step on each half-word: the values drawn below ``bound``, and
+    whether each draw is rejected, that is, whether the low half of the
+    scaled half-word falls below ``floor`` = (2**32 - bound) mod bound.
+    ``bound`` and ``floor`` are numbers or uint64 arrays."""
+    x = halves * bound
+    return x >> np.uint64(32), (x & np.uint64(_MASK32)) < floor
+
+
+def _floor(bound: int) -> int:
+    """The Lemire rejection floor (2**32 - bound) mod bound of a bound below 2**32."""
+    return (0x100000000 - bound) % bound
+
+
 class RawDraws:
     """Bounded integer and byte draws replayed from a PCG64 generator's raw words.
 
@@ -373,15 +387,14 @@ class RawDraws:
             out[:] = [self.integers(m) for _ in range(count) for m in (first, second)]
             return out[0::2], out[1::2]
         lane_bound = np.tile(np.array([first, second], dtype=np.uint64), count)
-        # a scaled half-word whose low half falls below this is rejected
-        lane_floor = np.tile(np.array([(0x100000000 - first) % first,
-                                       (0x100000000 - second) % second], dtype=np.uint64), count)
+        lane_floor = np.tile(np.array([_floor(first), _floor(second)], dtype=np.uint64), count)
         done = 0
         while done < 2 * count:
-            x = self.peek(2 * count - done) * lane_bound[done:]
-            rejected = np.flatnonzero(x & _MASK32 < lane_floor[done:])
-            take = int(rejected[0]) if len(rejected) else len(x)
-            out[done:done + take] = x[:take] >> 32
+            values, no = _lemire(self.peek(2 * count - done), lane_bound[done:],
+                                 lane_floor[done:])
+            rejected = np.flatnonzero(no)
+            take = int(rejected[0]) if len(rejected) else len(values)
+            out[done:done + take] = values[:take]
             self.skip(take)
             done += take
             if done < 2 * count:

@@ -55,6 +55,8 @@ import numpy as np
 
 from .adaptive import (
     Estimate,
+    _floor,
+    _lemire,
     check_accuracy,
     check_count,
     run_sampling_loop,
@@ -291,23 +293,6 @@ _MISS, _HIT, _SCALAR = 0, 1, 2
 
 # The lane kernel's walk arrays have a multiple of this many entries.
 _PAD = 128
-
-_MASK32 = 0xFFFFFFFF
-
-
-def _lemire(halves: np.ndarray, bound, floor) -> tuple[np.ndarray, np.ndarray]:
-    """Lemire's step on each half-word: the values drawn below ``bound``, and
-    whether each draw is rejected, that is, whether the low half of the
-    scaled half-word falls below ``floor`` = (2**32 - bound) mod bound.
-    ``bound`` and ``floor`` are numbers or uint64 arrays."""
-    x = halves * bound
-    return x >> np.uint64(32), (x & np.uint64(_MASK32)) < floor
-
-
-def _floor(bound: int) -> int:
-    """The Lemire rejection floor (2**32 - bound) mod bound of a bound below 2**32."""
-    return (0x100000000 - bound) % bound
-
 
 def _running_first(live: np.ndarray) -> np.ndarray:
     """Indices of the True entries of ``live``, in order, followed by as many
