@@ -19,10 +19,11 @@ The estimators draw through ``RawDraws``, which reads the generator's PCG64
 stream in blocks of raw 64-bit words and turns them into exactly the values
 ``Generator.integers`` and ``Generator.bytes`` would return, at a fraction
 of the cost of a scalar numpy call. ``RawDraws.pairs`` replays a whole
-block of alternating bounded draws in numpy, for the estimator whose
-samples draw nothing else. ``RawDraws.peek`` and ``RawDraws.skip`` give
-the coming half-words as an array and then consume as many as were used,
-for the k-path lane kernel.
+block of alternating bounded draws in numpy, for the pair estimators, which
+draw nothing else from the run's stream: betweenness draws its paths from
+a second stream, ``RawDraws.jumped``. ``RawDraws.peek`` and
+``RawDraws.skip`` give the coming half-words as an array and then consume
+as many as were used, for the k-path lane kernel.
 """
 
 from __future__ import annotations
@@ -402,6 +403,17 @@ class RawDraws:
                 done += 1
         return out[0::2], out[1::2]
 
+    def jumped(self) -> RawDraws:
+        """Draws from a second stream, which reads none of this one's words.
+
+        It is the wrapped generator's ``bit_generator.jumped()``: its state
+        as if (phi - 1) * 2**128, about 2**127.3, more words had been read,
+        for PCG64. That state moves each time this stream reads a block, so
+        a run takes the second stream before its first draw, and the second
+        stream then depends on the seed alone.
+        """
+        return RawDraws(np.random.Generator(self._bit_generator.jumped()))
+
     def bytes(self, length: int) -> bytes:
         """``length`` random bytes, as ``Generator.bytes`` gives them."""
         halves = [self._half_word() for _ in range((length + 3) // 4)]
@@ -511,8 +523,9 @@ def run_sampling_loop(
     drawn past the one at which the run stops, the generator is read as
     far as draw-by-draw sampling would read it, and the running sum, the
     checks and the stop are those of a loop that draws one sample at a
-    time. A plan may draw a block at once, as coverage does, or one sample
-    after another, as betweenness and k-path do.
+    time. A plan may draw a block at once, as betweenness, coverage and the
+    k-path lane kernel do, or one sample after another, as a short k-path
+    run does.
     """
     started = time.perf_counter()
     generator, seed = make_rng(cfg.seed)

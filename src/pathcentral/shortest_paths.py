@@ -32,24 +32,23 @@ probability exactly 1 / sigma(s, t).
 
 The membership gate, d(s, r) + d(r, t) = d(s, t), is the coverage test:
 the root can only be on a drawn betweenness path when it is on some
-shortest path. The betweenness estimator passes the pairs the gate cannot
-settle without a search straight to the builder with the known length,
-which gives up at its first contact when the pair fails, so a passing pair
-is searched once. Most drawn pairs fail the gate, and most failures are
-proved without a search, from the graph's table of distances to and from its
-highest-degree vertices: a detour through such a vertex that is shorter
-than the route through the root shows d(s, t) is shorter too (the upper
-bound of landmark distance estimation). The gate draws no random words
-and gives the answer the search would give, so no sample's law moves.
-``shortest_path_gate`` runs the same gate over a whole block of pairs: the
-legs and the landmark bound are array operations, and only the pairs they
-leave undecided are searched, one by one, in block order.
+shortest path. It runs on a block of pairs at a time. Most drawn pairs fail
+it, and most failures are proved without a search, by array operations on
+the whole block (``_undecided_pairs``): a leg through the root is missing,
+or the graph's table of distances to and from its highest-degree vertices
+shows a detour through such a vertex that is shorter than the route through
+the root, so d(s, t) is shorter too (the upper bound of landmark distance
+estimation). Only the pairs left open are searched, one by one, in block
+order. ``shortest_path_gate`` searches them with the distance-only search;
+the betweenness estimator passes them straight to the builder with the
+known length, which gives up at its first contact when the pair fails, so
+a passing pair is searched once. The gate draws no random words and gives
+the answer the search would give, so no sample's law moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
 
 import numpy as np
 
@@ -368,72 +367,21 @@ def shortest_path_length(
     return None
 
 
-def _gate_length(
-    g: DirectedGraph, source: int, target: int, reach: ReachabilityInfo
-) -> int | None:
-    """L = d(source, root) + d(root, target), or None when no search is
-    needed to see that the root is on no shortest source-target path.
+def _undecided_pairs(
+    g: DirectedGraph, sources: np.ndarray, targets: np.ndarray, reach: ReachabilityInfo
+):
+    """The lanes of a block of pairs that the gate cannot decide without a
+    search, as ``(lane, source, target, L)`` tuples of ints in lane order,
+    with L = d(source, root) + d(root, target).
 
-    The two legs are ``reach.to_root[source]`` and ``reach.from_root[target]``;
-    a leg at the ``unreached`` sentinel means no path through the root.
-    When L < ``FAR`` the graph's landmark table is read
-    (:meth:`DirectedGraph._landmark_distances`): a landmark h with
-    d(source, h) + d(h, target) < L proves d(source, target) < L. A sum
-    below L then holds no saturated entry.
-    """
-    unreached = reach.unreached
-    to_root = reach.to_root[source]
-    from_root = reach.from_root[target]
-    if to_root == unreached or from_root == unreached:
-        return None
-    length = to_root + from_root
-    if length < FAR:
-        to_landmark, from_landmark, width = g._landmark_distances()
-        i, j = source * width, target * width
-        if min(map(add, to_landmark[i:i + width], from_landmark[j:j + width])) < length:
-            return None
-    return length
-
-
-def on_some_shortest_path(
-    g: DirectedGraph,
-    source: int,
-    target: int,
-    reach: ReachabilityInfo,
-    space: _SearchSpace | None = None,
-) -> bool:
-    """True iff ``reach.root`` lies on at least one shortest source-target path.
-
-    Pure distance test: L = d(source, root) + d(root, target) equals
-    d(source, target). :func:`_gate_length` decides the pairs whose legs
-    or landmark distances settle it with no search. Otherwise ``space`` is
-    passed on to :func:`shortest_path_length`, whose distance decides.
-    """
-    length = _gate_length(g, source, target, reach)
-    if length is None:
-        return False
-    d = shortest_path_length(g, source, target, space)
-    return d is not None and length == d
-
-
-def shortest_path_gate(
-    g: DirectedGraph,
-    sources: np.ndarray,
-    targets: np.ndarray,
-    reach: ReachabilityInfo,
-    space: _SearchSpace,
-) -> list[int]:
-    """Lanes i, in order, with sources[i] != targets[i] and the root on a
-    shortest path between them.
-
-    Gives, lane by lane, the answer of :func:`on_some_shortest_path`, and
-    makes the same :func:`shortest_path_length` calls in lane order, but
-    decides the legs and the landmark bound for the whole block at once:
-    the legs come from ``reach.to_root_array`` and ``reach.from_root_array``,
-    and the landmark sums from an n x width ``uint8`` view of the graph's
-    table, which is read only when some lane has L < ``FAR``, as in the
-    scalar test. A lane whose ends coincide fails with no search: the
-    estimators score such a pair 0 before they test it.
+    Every other lane fails: its ends coincide (the estimators score such a
+    pair 0), one of its legs, read from ``reach.to_root_array`` and
+    ``reach.from_root_array``, is at the ``unreached`` sentinel, or, when
+    L < ``FAR``, a landmark h of the graph's table
+    (:meth:`DirectedGraph._landmark_distances`, viewed as n x width
+    ``uint8``) has d(source, h) + d(h, target) < L, which proves
+    d(source, target) < L. A sum below L holds no saturated entry. The table
+    is read only when some lane has L < ``FAR``.
     """
     to_leg = reach.to_root_array[sources]
     from_leg = reach.from_root_array[targets]
@@ -449,8 +397,44 @@ def shortest_path_gate(
         detour = (to_table[sources[near]].astype(np.int16) + from_table[targets[near]]).min(axis=1)
         live[near[detour < length[near]]] = False
     lanes = np.flatnonzero(live)
-    return [
-        i for i, s, t, d in zip(lanes.tolist(), sources[lanes].tolist(),
-                                targets[lanes].tolist(), length[lanes].tolist())
-        if shortest_path_length(g, s, t, space) == d
-    ]
+    return zip(lanes.tolist(), sources[lanes].tolist(), targets[lanes].tolist(),
+               length[lanes].tolist())
+
+
+def shortest_path_gate(
+    g: DirectedGraph,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    reach: ReachabilityInfo,
+    space: _SearchSpace | None = None,
+) -> list[int]:
+    """Lanes i, in order, with sources[i] != targets[i] and ``reach.root`` on
+    a shortest path between them.
+
+    The legs and the landmark bound decide the whole block at once
+    (:func:`_undecided_pairs`). Each lane they leave open is searched with
+    :func:`shortest_path_length`, in lane order, and passes when its
+    distance is L. ``space`` is passed on to the search.
+    """
+    return [i for i, s, t, length in _undecided_pairs(g, sources, targets, reach)
+            if shortest_path_length(g, s, t, space) == length]
+
+
+def on_some_shortest_path(
+    g: DirectedGraph,
+    source: int,
+    target: int,
+    reach: ReachabilityInfo,
+    space: _SearchSpace | None = None,
+) -> bool:
+    """True iff ``source != target`` and ``reach.root`` lies on at least one
+    shortest source-target path.
+
+    Pure distance test: L = d(source, root) + d(root, target) equals
+    d(source, target). Answered by :func:`shortest_path_gate` on a block of
+    one pair. Both ids are checked first, since numpy would wrap a negative
+    one.
+    """
+    g._check(source)
+    g._check(target)
+    return bool(shortest_path_gate(g, np.array([source]), np.array([target]), reach, space))

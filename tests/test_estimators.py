@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -163,6 +164,35 @@ class TestCoverageEstimates:
         assert (one.value, one.samples, one.stop_reason) == (
             two.value, two.samples, two.stop_reason
         )
+
+
+def _outputs(est) -> tuple:
+    return tuple(getattr(est, f.name) for f in dataclasses.fields(est) if f.name != "wall_time")
+
+
+class TestOnePairStream:
+    @pytest.mark.parametrize("mode", ["restricted", "baseline"])
+    def test_betweenness_hits_are_a_subset_of_coverage_hits(self, mode):
+        # one seed, one pair stream: a betweenness hit is a coverage hit on
+        # the same pair, whatever the path draws read
+        for g, roots in ((random_digraph(30, 0.1, seed=2), (22, 3, 11)),
+                         (hub_digraph(150, seed=4), (4, 0, 9))):
+            for root in roots:
+                for seed in (7, 21, 404):
+                    config = cfg(seed=seed, mode=mode, fixed_samples=700)
+                    bc = estimate_betweenness(g, root, config)
+                    cov = estimate_coverage(g, root, config)
+                    assert bc.hits <= cov.hits
+                    assert bc.value <= cov.value
+
+    @pytest.mark.parametrize("extra", [{}, {"mode": "baseline"}, {"fixed_samples": 2000}],
+                             ids=["adaptive", "baseline", "fixed"])
+    def test_betweenness_does_not_depend_on_the_block_size(self, monkeypatch, extra):
+        g = hub_digraph(150, seed=4)
+        config = cfg(seed=7, **extra)
+        whole = _outputs(estimate_betweenness(g, 4, config))
+        monkeypatch.setattr("pathcentral.adaptive._DRAW_BLOCK", 7)
+        assert _outputs(estimate_betweenness(g, 4, config)) == whole
 
 
 # (value, samples, hits, stop_reason, lower_conf, upper_conf) for vertex 22,

@@ -299,6 +299,13 @@ class TestMembershipCheck:
         reach = compute_reachability(g, b)
         assert not on_some_shortest_path(g, g.id_of("c"), g.id_of("d"), reach)
 
+    @pytest.mark.parametrize("ends", [(-1, 2), (0, -1), (0, 3)])
+    def test_rejects_ids_out_of_range(self, three_path, ends):
+        # -1 would otherwise index the last vertex of the legs' arrays
+        reach = compute_reachability(three_path, three_path.id_of("b"))
+        with pytest.raises(ValueError, match="out of range"):
+            on_some_shortest_path(three_path, *ends, reach)
+
     @settings(max_examples=50, deadline=None)
     @given(edge_pairs, st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
     def test_matches_enumeration(self, pairs, s, t, r):
@@ -389,8 +396,9 @@ class TestLandmarkGate:
 class TestBlockGate:
     @settings(max_examples=60, deadline=None)
     @given(gate_graphs, st.floats(0, 1, exclude_max=True), st.integers(0, 2**32 - 1))
-    def test_equals_the_scalar_gate_lane_by_lane(self, g, at, seed):
-        # same answers, and the same searches in the same order
+    def test_equals_the_search_lane_by_lane(self, g, at, seed):
+        # the answers of gate_by_search, with at most one search per lane, in
+        # lane order
         n = g.vertex_count
         reach = compute_reachability(g, int(at * n))
         pick = np.random.default_rng(seed)
@@ -399,22 +407,26 @@ class TestBlockGate:
         for pool in (reach.source_array, reach.target_array):
             drawn = pick.choice(pool, 300) if len(pool) else pick.integers(n, size=300)
             ends.append(np.concatenate([drawn, pick.integers(n, size=60)]))
-        sources, targets = ends
+        lanes = list(zip(*(end.tolist() for end in ends)))
+        expected = [i for i, (s, t) in enumerate(lanes)
+                    if s != t and gate_by_search(g, s, t, reach)]
         searched = []
 
         def recording(g, s, t, space=None):
             searched.append((s, t))
             return shortest_path_length(g, s, t, space)
 
-        space = _SearchSpace(g)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("pathcentral.shortest_paths.shortest_path_length", recording)
-            expected = [i for i, (s, t) in enumerate(zip(sources.tolist(), targets.tolist()))
-                        if s != t and on_some_shortest_path(g, s, t, reach, space)]
-            scalar_searches = list(searched)
-            searched.clear()
-            assert shortest_path_gate(g, sources, targets, reach, space) == expected
-        assert searched == scalar_searches
+            got = shortest_path_gate(g, *ends, reach, _SearchSpace(g))
+        assert got == expected
+        # match each search to the first lane after the last match with its
+        # pair: every search is matched, and every passing lane was searched
+        at_lane = iter(enumerate(lanes))
+        searched_lanes = [next((i for i, pair in at_lane if pair == s_t), None)
+                          for s_t in searched]
+        assert None not in searched_lanes
+        assert set(got) <= set(searched_lanes)
 
     def test_decided_lanes_take_no_search(self, monkeypatch):
         # (s, s), a source that cannot reach the root and a landmark detour
