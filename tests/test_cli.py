@@ -77,15 +77,15 @@ class TestEstimateCommands:
         assert payload.pop("wall_time") >= 0
         assert payload == {
             "contribution_bound": 0.16666666666666666,
-            "hits": 52,
-            "lower_conf": 0.01553199665898966,
+            "hits": 49,
+            "lower_conf": 0.014134667866480478,
             "method": "sampled-paths",
             "sample_budget": 800,
-            "samples": 215,
+            "samples": 213,
             "seed": 4,
             "stop_reason": "bounds-satisfied",
-            "upper_conf": 0.09021754041741928,
-            "value": 0.040310077519379844,
+            "upper_conf": 0.08823199558149245,
+            "value": 0.03834115805946792,
             "vertex": "b",
         }
 

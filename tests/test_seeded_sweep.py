@@ -6,7 +6,8 @@ restricted and baseline, adaptive and fixed. Fixed coverage runs are longer
 than one block of the sampling loop. The digests were recorded before the
 reachability context went flat and coverage pairs went into blocks; a change
 that moves any seeded value, count, budget, stop or confidence end moves
-them.
+them. The ``betweenness-*`` digests were recorded again when betweenness
+took its path draws off the pair stream onto a second one.
 
 The ``kpath-lanes-*`` groups are k-path runs long enough for the estimator to
 draw them through its lane kernel: 20,000 fixed samples, or adaptive runs
@@ -100,13 +101,13 @@ def _runs(g, roots, group):
 # sha256 over repr of each run's fields, in run order
 SWEEP_DIGESTS = {
     "betweenness-restricted-adaptive":
-        "866db5d6d2f86707396c78833c05b120bec5cbd258c3aa90b33804adb951a168",
+        "be0ce33ee75744dcf807feb6bbee5027285510b28f968292a9921e51b265b29c",
     "betweenness-restricted-fixed":
-        "88bfc146822e55c63f6b10341f39c3038462d0b0580e3c7c72c59b8992aff8ea",
+        "5bb7aee1ffa6fc66b7f8bbd24f67475260ab63a446eb65599baf8b30bf2252ef",
     "betweenness-baseline-adaptive":
-        "d0b00e787601c65bfd1b1418534933459476a9265c87be5dfcbf19bc1fdf3920",
+        "a129525126fbdcccd459f45b8eab6fec5715d142885f37377ff61cdd7e3b3571",
     "betweenness-baseline-fixed":
-        "5dab06fd23f665f950dc3c4bf49466680fbbd4ebd3d63b5fba6495d4191fa419",
+        "76e1af4f75e49236dfe8921bde092ae2eb6f458d58407675fe8b4e3712f9bc24",
     "coverage-restricted-adaptive":
         "effb9a46da4cdfd673c0ed8748f1edb2f19fad99b0cf8e9157c31fb833138af7",
     "coverage-restricted-fixed":
