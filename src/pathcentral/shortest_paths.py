@@ -48,6 +48,7 @@ the answer the search would give, so no sample's law moves.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -369,7 +370,7 @@ def shortest_path_length(
 
 def _undecided_pairs(
     g: DirectedGraph, sources: np.ndarray, targets: np.ndarray, reach: ReachabilityInfo
-):
+) -> Iterator[tuple[int, int, int, int]]:
     """The lanes of a block of pairs that the gate cannot decide without a
     search, as ``(lane, source, target, L)`` tuples of ints in lane order,
     with L = d(source, root) + d(root, target).

@@ -230,6 +230,16 @@ class TestRawDraws:
         assert first.tolist() == expected[0::2] and second.tolist() == expected[1::2]
         assert [raw.integers(9) for _ in range(4)] == [scalar.integers(9) for _ in range(4)]
 
+    def test_jumped_stream_reads_none_of_the_first(self):
+        raw = RawDraws(np.random.default_rng(6))
+        second = raw.jumped()
+        numpy_second = np.random.Generator(np.random.default_rng(6).bit_generator.jumped())
+        assert [second.integers(7) for _ in range(3000)] == numpy_second.integers(
+            7, size=3000).tolist()
+        scalar = RawDraws(np.random.default_rng(6))
+        assert [raw.integers(9) for _ in range(3000)] == [scalar.integers(9)
+                                                          for _ in range(3000)]
+
     def test_refusals(self):
         raw = RawDraws(np.random.default_rng(0))
         for args in [(0,), (-3,), (5, 5), (5, 4)]:
