@@ -16,6 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .adaptive import EstimatorConfig
 from .bench import format_table, report_to_json, run_benchmark
 from .betweenness import estimate_betweenness, estimate_coverage
@@ -201,9 +203,11 @@ def _cmd_reach(args) -> dict:
     reach = compute_reachability(g, v)
     return {
         "vertex": args.vertex,
-        "upstream_count": len(reach.sources),
-        "downstream_count": len(reach.targets),
-        "domain_size": len(reach.domain),
+        "upstream_count": len(reach.source_array),
+        "downstream_count": len(reach.target_array),
+        # the root is at hop 0 both ways, so it is counted once
+        "domain_size": int(np.count_nonzero((reach.to_root_array < reach.unreached)
+                                            | (reach.from_root_array < reach.unreached))),
         "pair_fraction": float(reach.pair_fraction),
         "pair_fraction_exact": str(reach.pair_fraction),
         "source_fraction": float(reach.source_fraction),

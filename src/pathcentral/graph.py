@@ -16,8 +16,8 @@ returns a read-only map with the same items, in the same order, as the
 dict a queue-driven search over the sorted adjacency tuples would fill,
 kept as the traversal's two arrays. The same traversal fills a second lazily
 built structure, the hop distances to and from the graph's ``LANDMARKS``
-highest-degree vertices, which the shortest-path gate reads to rule out
-pairs without a search.
+(64) highest-degree vertices, kept as two n x 64 ``uint8`` arrays, which the
+shortest-path gate reads to rule out pairs without a search.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 # Vertices of highest in + out degree whose hop distances a graph keeps.
-LANDMARKS = 16
+LANDMARKS = 64
 # A stored landmark distance saturates here: 255 means 255 or more hops, or
 # no path at all.
 FAR = 255
@@ -208,16 +208,16 @@ class DirectedGraph:
             self._search_csr = (_csr_of(self._fwd, ones), _csr_of(self._rev, ones))
         return self._search_csr
 
-    def _landmark_distances(self) -> tuple[bytes, bytes, int]:
+    def _landmark_distances(self) -> tuple[np.ndarray, np.ndarray]:
         """Hop distances to and from the landmarks, built on first use.
 
         The landmarks are the ``LANDMARKS`` vertices of highest in + out
         degree, ties broken by the lower id (all vertices on a smaller
-        graph). Returns ``(to_landmark, from_landmark, width)`` with
-        ``width`` the landmark count: bytes ``v * width`` to
-        ``(v + 1) * width`` of ``to_landmark`` hold d(v, h) for each
-        landmark h, and the same bytes of ``from_landmark`` hold d(h, v).
-        Distances saturate at ``FAR``.
+        graph). Returns ``(to_landmark, from_landmark)``, two n x width
+        ``uint8`` arrays with width the landmark count: row v of
+        ``to_landmark`` holds d(v, h) for each landmark h, and row v of
+        ``from_landmark`` holds d(h, v). Distances saturate at ``FAR``.
+        Each array takes ``LANDMARKS`` bytes per vertex.
         """
         if self._landmark_table is None:
             n = self.vertex_count
@@ -232,8 +232,8 @@ class DirectedGraph:
                 for i, h in enumerate(landmarks):
                     order, depth = _bfs_levels(csr, h)
                     table[order, i] = np.minimum(depth, FAR)
-                tables.append(table.tobytes())
-            self._landmark_table = (*tables, len(landmarks))
+                tables.append(table)
+            self._landmark_table = tuple(tables)
         return self._landmark_table
 
     def __repr__(self) -> str:

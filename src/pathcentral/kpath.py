@@ -26,23 +26,25 @@ small integers, so they are carried as integer denominator products and
 only combined at the end: the per-sample contribution is an exact integer
 ratio and the bound contribution <= upstream share holds by construction.
 
-A run of at least ``_LANES`` samples (its budget, or its fixed length)
-draws a window of lanes at a time (``_LaneDraws``). Every draw of a sample
-has a bound below 2**32 and so reads one 32-bit half-word of the stream
-unless Lemire's test rejects it: the source index, the length, and each
-step with two or more candidates. The half-words a sample reads thus
-depend only on the offset where it starts, and the lane kernel works out,
-in numpy and for every offset of a window of 4,096 at once, where the next
-sample would start and whether this one misses, hits or meets a rejection.
-The run follows the chain of next offsets from where the stream stands.
-Misses score 0 with no Python walk. A hit is drawn again through
-``sample_walk`` on a replay of its own half-words, which keeps the exact
-integer ratio; a rejection is drawn on the stream itself by the scalar
-draw, and the next window starts after it. So the stream, every sample
-and every contribution are those of the scalar draw. Most lanes are never
-read (a hub-mix sample reads about three half-words), which is the price
-of evaluating them with no dependence between them. A shorter run keeps
-the scalar draw, since one window would cost more than the whole run.
+A run of at least ``_CUTOVER`` (4,096) samples, by its budget or its
+fixed length, draws a window of lanes at a time (``_LaneDraws``). Every
+draw of a sample has a bound below 2**32 and so reads one 32-bit half-word
+of the stream unless Lemire's test rejects it: the source index, the
+length, and each step with two or more candidates. The half-words a sample
+reads thus depend only on the offset where it starts, and the lane kernel
+works out, in numpy and for every offset of a window of 16,384
+(``_LANES``) at once, where the next sample would start and whether this
+one misses, hits or meets a rejection. The run follows the chain of next
+offsets from where the stream stands. Misses score 0 with no Python walk.
+A hit is drawn again through ``sample_walk`` on a replay of its own
+half-words, which keeps the exact integer ratio; a rejection is drawn on
+the stream itself by the scalar draw, and the next window starts after it.
+So the stream, every sample and every contribution are those of the scalar
+draw. Most lanes are never read (a hub-mix sample reads about three
+half-words), which is the price of evaluating them with no dependence
+between them. A window makes about k * 20 numpy calls whatever its width,
+so a wide window spreads them over more lanes. A shorter run keeps the
+scalar draw, since one window would cost more than the whole run.
 """
 
 from __future__ import annotations
@@ -284,9 +286,13 @@ def sample_walk(
     )
 
 
-# Offsets one lane window evaluates at once. A run shorter than this, by its
-# budget or by its fixed length, draws sample by sample instead.
-_LANES = 4096
+# Offsets one lane window evaluates at once. A window makes about k * 20
+# numpy calls whatever its width, so a wide one spreads them over more lanes.
+_LANES = 16384
+
+# A run shorter than this, by its budget or by its fixed length, draws sample
+# by sample instead, since one window would cost more than the whole run.
+_CUTOVER = 4096
 
 # Outcome of the sample that starts at a lane's offset.
 _MISS, _HIT, _SCALAR = 0, 1, 2
@@ -535,8 +541,8 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
     a walk, consuming the same random words ``sample_walk`` would.
 
     A run whose length (its budget, or its fixed sample count) is at least
-    one lane window draws through ``_LaneDraws``; a shorter one draws
-    sample by sample. Both give the same samples from the same stream.
+    ``_CUTOVER`` draws through ``_LaneDraws``; a shorter one draws sample
+    by sample. Both give the same samples from the same stream.
 
     A root with no in-edge reports a degenerate zero. The budget is
     ``compute_walk_budget`` at half the failure probability; a fixed run
@@ -571,7 +577,7 @@ def estimate_kpath_centrality(g: DirectedGraph, root: int, cfg: KPathConfig) -> 
             return 0.0
 
         run_length = budget if cfg.fixed_samples is None else cfg.fixed_samples
-        if run_length < _LANES or k >= 0x100000000:
+        if run_length < _CUTOVER or k >= 0x100000000:
             return (lambda count: [draw(rng) for _ in range(count)]), budget, bound
         return _LaneDraws(space, reach, k, rng, draw), budget, bound
 

@@ -2,14 +2,13 @@
 
 Everything the samplers need about a root ``r`` comes from two BFS passes:
 one over reversed edges (who can reach r) and one over forward edges (whom r
-can reach). They are kept flat: a hop-count list per direction, indexed by
-vertex, with one sentinel for a vertex the search never reached; the sorted
-upstream and downstream vertices as tuples; and numpy forms of the same four
-for the estimators that work on whole blocks of pairs. No per-vertex dict or
-set is built unless a caller reads one of the set or map views. The ratio of
-upstream-by-downstream pairs to all ordered vertex pairs drives both the
-per-sample scaling and the stopping rule, so it is kept as an exact rational
-and only converted to float at the point of use.
+can reach). They are kept flat, as numpy arrays: a hop count per vertex and
+direction, with one sentinel for a vertex the search never reached, and
+the sorted upstream and downstream vertices. No Python list, tuple, dict or
+set is built unless a caller reads one of the views over those arrays. The
+ratio of upstream-by-downstream pairs to all ordered vertex pairs drives
+both the per-sample scaling and the stopping rule, so it is kept as an
+exact rational and only converted to float at the point of use.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ __all__ = ["ReachabilityInfo", "compute_reachability", "transitive_closure_oracl
 CLOSURE_GUARD = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachabilityInfo:
     """Upstream/downstream vertices of a root and the derived sampling quantities.
 
@@ -37,45 +36,67 @@ class ReachabilityInfo:
 
     The flat fields, for a graph of n vertices:
 
-    * ``to_root[v]`` is d(v, root) in hops and ``from_root[v]`` is d(root, v),
-      both 0 at the root, and n + 1 (``unreached``) for a vertex that the
-      search never reached: no hop count can equal it.
-    * ``sources`` and ``targets`` are the upstream and downstream vertices
-      as sorted tuples.
-    * ``to_root_array``, ``from_root_array``, ``source_array`` and
-      ``target_array`` are the same four as int64 arrays.
+    * ``to_root_array[v]`` is d(v, root) in hops and ``from_root_array[v]``
+      is d(root, v), both 0 at the root, and n + 1 (``unreached``) for a
+      vertex that the search never reached: no hop count can equal it.
+    * ``source_array`` and ``target_array`` are the upstream and downstream
+      vertices, sorted.
 
-    ``pair_fraction`` is the share of ordered vertex pairs (s, t), s != t,
-    with s upstream and t downstream; ``source_fraction`` the share of
-    vertices that are upstream. ``diameter_vertex_bound`` bounds from above
-    the number of vertices on any shortest path between an upstream source
-    and a downstream target.
+    All four are int64 arrays. ``pair_fraction`` is the share of ordered
+    vertex pairs (s, t), s != t, with s upstream and t downstream;
+    ``source_fraction`` the share of vertices that are upstream.
+    ``diameter_vertex_bound`` bounds from above the number of vertices on
+    any shortest path between an upstream source and a downstream target.
 
-    The views ``upstream``, ``downstream`` and ``domain`` (frozensets; the
-    domain is both sets and the root) and the maps ``dist_to_root`` and
-    ``dist_from_root`` (the BFS hop counts of reached vertices, in visit
-    order) are built on first read and kept. The estimators read only the
-    flat fields.
+    The other views are built on first read and kept: ``to_root`` and
+    ``from_root`` (the hop counts as lists), ``sources`` and ``targets``
+    (the sorted vertices as tuples), ``upstream``, ``downstream`` and
+    ``domain`` (frozensets; the domain is both sets and the root), and the
+    maps ``dist_to_root`` and ``dist_from_root`` (the BFS hop counts of
+    reached vertices, in visit order). Betweenness and coverage read only
+    the arrays; k-path also reads ``sources`` and ``to_root``.
+
+    ``==`` compares the root and the hop counts in both directions, which
+    fix every other field. Instances are not hashable.
     """
 
     root: int
-    sources: tuple[int, ...] = field(repr=False)
-    targets: tuple[int, ...] = field(repr=False)
-    to_root: list[int] = field(repr=False)
-    from_root: list[int] = field(repr=False)
-    to_root_array: np.ndarray = field(repr=False, compare=False)
-    from_root_array: np.ndarray = field(repr=False, compare=False)
-    source_array: np.ndarray = field(repr=False, compare=False)
-    target_array: np.ndarray = field(repr=False, compare=False)
+    to_root_array: np.ndarray = field(repr=False)
+    from_root_array: np.ndarray = field(repr=False)
+    source_array: np.ndarray = field(repr=False)
+    target_array: np.ndarray = field(repr=False)
     pair_fraction: Fraction
     source_fraction: Fraction
     diameter_vertex_bound: int
-    _levels: tuple[LevelMap, LevelMap] = field(repr=False, compare=False)
+    _levels: tuple[LevelMap, LevelMap] = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, ReachabilityInfo):
+            return NotImplemented
+        return (self.root == other.root
+                and np.array_equal(self.to_root_array, other.to_root_array)
+                and np.array_equal(self.from_root_array, other.from_root_array))
 
     @property
     def unreached(self) -> int:
         """The hop count that ``to_root`` and ``from_root`` give an unreached vertex."""
-        return len(self.to_root) + 1
+        return len(self.to_root_array) + 1
+
+    @cached_property
+    def to_root(self) -> list[int]:
+        return self.to_root_array.tolist()
+
+    @cached_property
+    def from_root(self) -> list[int]:
+        return self.from_root_array.tolist()
+
+    @cached_property
+    def sources(self) -> tuple[int, ...]:
+        return tuple(self.source_array.tolist())
+
+    @cached_property
+    def targets(self) -> tuple[int, ...]:
+        return tuple(self.target_array.tolist())
 
     @cached_property
     def upstream(self) -> frozenset[int]:
@@ -134,10 +155,6 @@ def compute_reachability(g: DirectedGraph, root: int) -> ReachabilityInfo:
 
     return ReachabilityInfo(
         root=root,
-        sources=tuple(up.tolist()),
-        targets=tuple(down.tolist()),
-        to_root=to_root.tolist(),
-        from_root=from_root.tolist(),
         to_root_array=to_root,
         from_root_array=from_root,
         source_array=up,

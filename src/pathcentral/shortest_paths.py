@@ -379,8 +379,8 @@ def _undecided_pairs(
     pair 0), one of its legs, read from ``reach.to_root_array`` and
     ``reach.from_root_array``, is at the ``unreached`` sentinel, or, when
     L < ``FAR``, a landmark h of the graph's table
-    (:meth:`DirectedGraph._landmark_distances`, viewed as n x width
-    ``uint8``) has d(source, h) + d(h, target) < L, which proves
+    (:meth:`DirectedGraph._landmark_distances`, two n x width ``uint8``
+    arrays) has d(source, h) + d(h, target) < L, which proves
     d(source, target) < L. A sum below L holds no saturated entry. The table
     is read only when some lane has L < ``FAR``.
     """
@@ -391,10 +391,7 @@ def _undecided_pairs(
     live = (to_leg != unreached) & (from_leg != unreached) & (sources != targets)
     near = np.flatnonzero(live & (length < FAR))
     if len(near):
-        to_landmark, from_landmark, width = g._landmark_distances()
-        n = g.vertex_count
-        to_table = np.frombuffer(to_landmark, dtype=np.uint8).reshape(n, width)
-        from_table = np.frombuffer(from_landmark, dtype=np.uint8).reshape(n, width)
+        to_table, from_table = g._landmark_distances()
         detour = (to_table[sources[near]].astype(np.int16) + from_table[targets[near]]).min(axis=1)
         live[near[detour < length[near]]] = False
     lanes = np.flatnonzero(live)

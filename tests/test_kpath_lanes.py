@@ -1,7 +1,8 @@
 """The k-path lane kernel against the scalar draw, lane by lane and call by call.
 
-Most k-path runs in the other tests are shorter than one lane window and so
-draw sample by sample; these tests drive ``_LaneDraws`` directly. The
+Most k-path runs in the other tests are shorter than the cutover and so
+draw sample by sample; these tests drive ``_LaneDraws`` directly, or run
+the estimator past the cutover. The
 half-words are crafted: a zero half-word makes Lemire's step reject any
 bound that is not a power of two, and a short array leaves the last walks
 without the half-words they need.
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from pathcentral.adaptive import CompensatedSum, RawDraws
 from pathcentral.graph import DirectedGraph, loads_edge_list
 from pathcentral.kpath import (
+    _CUTOVER,
     _HIT,
     _LANES,
     _MISS,
@@ -242,3 +244,64 @@ def test_a_long_estimate_matches_a_replay_through_sample_walk(pairs, root, k, se
             hits += 1
     assert est.hits == hits
     assert est.value == min(acc.value / tau, est.contribution_bound)
+
+
+def replay_estimate(g, reach, k, stream, tau):
+    """Hits and value of a fixed run of ``tau`` scalar draws from ``stream``."""
+    draw = scalar_draw(g, reach, _WalkSpace(g, reach), k, "original")
+    acc = CompensatedSum()
+    hits = 0
+    for _ in range(tau):
+        c = draw(stream)
+        if c:
+            acc.add(c)
+            hits += 1
+    return hits, acc.value / tau
+
+
+def busiest_root(g):
+    return max(g.vertices(), key=lambda v: (g.in_degree(v) + g.out_degree(v), -v))
+
+
+def test_a_late_rejection_in_a_run_over_several_windows_matches_the_replay(monkeypatch):
+    # a fixed run that reads more than two windows of half-words, with a run
+    # of zeros in the second: Lemire's step rejects a zero for any bound that
+    # is not a power of two, so the samples there are drawn on the stream
+    g = lane_graph(5)
+    root = busiest_root(g)
+    reach = compute_reachability(g, root)
+    k = 3
+    tau = _LANES + 900
+    halves = crafted_halves(np.random.default_rng(5), 4 * _LANES * (k + 2), 0.0)
+    halves[_LANES + 500:_LANES + 520] = 0
+    stream = HalfStream(halves)
+    monkeypatch.setattr("pathcentral.adaptive.RawDraws", lambda generator: stream)
+    est = estimate_kpath_centrality(g, root, KPathConfig(k=k, seed=1, fixed_samples=tau))
+    replay = HalfStream(halves)
+    hits, mean = replay_estimate(g, reach, k, replay, tau)
+    assert replay.rejected > 0
+    assert replay.at > 2 * _LANES
+    assert stream.at == replay.at
+    assert est.samples == tau and est.hits == hits > 0
+    assert est.value == min(mean, est.contribution_bound)
+
+
+def test_a_run_shorter_than_the_cutover_opens_no_window(monkeypatch):
+    g = lane_graph(7)
+    root = busiest_root(g)
+    opened = []
+    real_open = _LaneDraws._open
+
+    def counting_open(self):
+        opened.append(self)
+        real_open(self)
+
+    monkeypatch.setattr(_LaneDraws, "_open", counting_open)
+    assert _CUTOVER == 4096 < _LANES
+    cfg = KPathConfig(k=3, seed=2, fixed_samples=4095)
+    est = estimate_kpath_centrality(g, root, cfg)
+    assert opened == []
+    reach = compute_reachability(g, root)
+    assert (est.hits, est.value) == replay_estimate(g, reach, 3, np.random.default_rng(2), 4095)
+    estimate_kpath_centrality(g, root, KPathConfig(k=3, seed=2, fixed_samples=4096))
+    assert len(opened) == 1

@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pathcentral.adaptive import EstimatorConfig
+from pathcentral.betweenness import estimate_betweenness, estimate_coverage
 from pathcentral.errors import GuardError
 from pathcentral.generate import random_digraph
 from pathcentral.graph import DirectedGraph, bfs_distances, loads_edge_list
@@ -90,13 +92,44 @@ def test_flat_fields_agree_with_the_views():
                                 if reach.to_root[u] <= n or reach.from_root[u] <= n}
 
 
+VIEWS = {"upstream", "downstream", "domain", "sources", "targets", "to_root", "from_root"}
+
+
 def test_views_are_built_only_when_read():
     g = random_digraph(30, 0.1, seed=3)
     reach = compute_reachability(g, 5)
-    assert not {"upstream", "downstream", "domain"} & set(vars(reach))
+    assert not VIEWS & set(vars(reach))
     assert reach.dist_to_root._dict is None and reach.dist_from_root._dict is None
-    assert reach.upstream is reach.upstream
-    assert "upstream" in vars(reach)
+    for name in sorted(VIEWS):
+        assert getattr(reach, name) is getattr(reach, name)
+        assert name in vars(reach)
+
+
+def test_pair_estimators_build_no_view(monkeypatch):
+    g = random_digraph(30, 0.1, seed=3)
+    reaches = []
+
+    def recording(g, root):
+        reaches.append(compute_reachability(g, root))
+        return reaches[-1]
+
+    monkeypatch.setattr("pathcentral.betweenness.compute_reachability", recording)
+    cfg = EstimatorConfig(tolerance=0.1, failure_prob=0.1, seed=4)
+    estimate_betweenness(g, 5, cfg)
+    estimate_coverage(g, 5, cfg)
+    assert len(reaches) == 2
+    for reach in reaches:
+        assert not VIEWS & set(vars(reach))
+
+
+def test_equality_compares_the_root_and_the_hop_counts():
+    g = random_digraph(30, 0.1, seed=3)
+    reach = compute_reachability(g, 5)
+    assert reach == compute_reachability(g, 5)
+    assert reach != compute_reachability(g, 6)
+    assert reach != compute_reachability(random_digraph(30, 0.1, seed=4), 5)
+    assert reach != compute_reachability(random_digraph(31, 0.1, seed=3), 5)
+    assert reach != (5,)
 
 
 def test_vertex_bound_covers_longest_relevant_path():

@@ -326,14 +326,15 @@ def gate_by_search(g, s, t, reach):
     return shortest_path_length(g, s, t) == to_root + from_root
 
 
-# 20-80 vertices: most vertices are not landmarks, so the table decides some
-# failing pairs and the search the rest.
+# 20-200 vertices: on a graph of more than 128, most vertices are not
+# landmarks, so the table decides some failing pairs and the search the rest;
+# on a graph of at most 64, every vertex is one.
 gate_graphs = st.one_of(
-    st.builds(random_digraph, st.integers(20, 80), st.sampled_from([0.03, 0.06, 0.1]),
+    st.builds(random_digraph, st.integers(20, 200), st.sampled_from([0.03, 0.06, 0.1]),
               seed=st.integers(0, 10**6)),
-    st.builds(hub_digraph, st.integers(20, 80), st.integers(1, 2), st.integers(1, 2),
+    st.builds(hub_digraph, st.integers(20, 200), st.integers(1, 2), st.integers(1, 2),
               seed=st.integers(0, 10**6)),
-    st.builds(layered_dag, st.integers(4, 8), st.integers(5, 10),
+    st.builds(layered_dag, st.integers(4, 10), st.integers(5, 20),
               st.sampled_from([0.3, 0.6, 0.9]), seed=st.integers(0, 10**6)),
 )
 
@@ -369,9 +370,28 @@ class TestLandmarkGate:
         monkeypatch.setattr("pathcentral.shortest_paths.shortest_path_length", no_search)
         assert not on_some_shortest_path(g, s, t, reach)
 
+    def test_a_landmark_past_the_sixteenth_decides_without_a_search(self, monkeypatch):
+        # a 16-vertex clique holds the vertices of highest degree and reaches
+        # nothing else, so only the landmarks ranked 17th and later (every
+        # other vertex) see s -> h -> t, shorter than s -> r -> x -> t (L = 3)
+        clique = "".join(f"c{i} c{j}\n" for i in range(16) for j in range(16) if i != j)
+        g = loads_edge_list(clique + "s r\nr x\nx t\ns h\nh t\n")
+        s, r, t = (g.id_of(lab) for lab in "srt")
+        reach = compute_reachability(g, r)
+        to_landmark, from_landmark = g._landmark_distances()
+        detour = to_landmark[s].astype(int) + from_landmark[t]
+        assert len(detour) == g.vertex_count == 21
+        assert detour[:16].min() >= 3 > detour[16:].min()
+
+        def no_search(*args):
+            raise AssertionError("the landmark table should decide this pair")
+
+        monkeypatch.setattr("pathcentral.shortest_paths.shortest_path_length", no_search)
+        assert not on_some_shortest_path(g, s, t, reach)
+
     def test_fewer_vertices_than_landmarks(self):
         g = DirectedGraph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 0), (1, 4)])
-        assert g._landmark_distances()[2] == 5
+        assert [table.shape for table in g._landmark_distances()] == [(5, 5), (5, 5)]
         for r in g.vertices():
             reach = compute_reachability(g, r)
             for s in g.vertices():
@@ -381,14 +401,15 @@ class TestLandmarkGate:
                             g, s, t, reach)
 
     def test_saturated_distances_prove_nothing(self):
-        # a 300-vertex directed path: its landmarks are vertices 1-16 (degree
+        # a 300-vertex directed path: its landmarks are vertices 1-64 (degree
         # 2, lowest ids), and a distance of 255 hops or more is stored as 255.
-        # For (0, 299) through 150, L = 299 and d(0, h) + 255 < 299 for every
-        # landmark h, so reading the table at L >= 255 would refuse the pair.
+        # For (0, 299) through 150, L = 299 and d(0, h) + 255 < 299 for the
+        # landmarks h = 1-43, so reading the table at L >= 255 would refuse
+        # the pair.
         g = DirectedGraph.from_edges([(v, v + 1) for v in range(299)])
-        to_landmark, from_landmark, width = g._landmark_distances()
-        assert width == 16
-        assert from_landmark[299 * width:300 * width] == bytes([255] * 16)
+        to_landmark, from_landmark = g._landmark_distances()
+        assert to_landmark.shape == from_landmark.shape == (300, 64)
+        assert from_landmark[299].tolist() == [min(299 - h, 255) for h in range(1, 65)]
         for s, r, t in [(0, 150, 299), (0, 254, 255), (20, 100, 200), (1, 2, 298)]:
             assert on_some_shortest_path(g, s, t, compute_reachability(g, r))
 
