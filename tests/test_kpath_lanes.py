@@ -2,10 +2,9 @@
 
 Most k-path runs in the other tests are shorter than the cutover and so
 draw sample by sample; these tests drive ``_LaneDraws`` directly, or run
-the estimator past the cutover. The
-half-words are crafted: a zero half-word makes Lemire's step reject any
-bound that is not a power of two, and a short array leaves the last walks
-without the half-words they need.
+the estimator past the cutover. The half-words are crafted: a zero
+half-word makes Lemire's step reject any bound that is not a power of two,
+and a short array leaves the last walks without the half-words they need.
 """
 
 from __future__ import annotations
@@ -84,6 +83,19 @@ def scalar_draw(g, reach, space, k, weight):
         return 0.0
 
     return draw
+
+
+def replay_estimate(g, reach, k, stream, tau):
+    """Hits and value of a fixed run of ``tau`` scalar draws from ``stream``."""
+    draw = scalar_draw(g, reach, _WalkSpace(g, reach), k, "original")
+    acc = CompensatedSum()
+    hits = 0
+    for _ in range(tau):
+        c = draw(stream)
+        if c:
+            acc.add(c)
+            hits += 1
+    return hits, acc.value / tau
 
 
 def crafted_halves(rng, count, zero_share):
@@ -233,30 +245,9 @@ def test_a_long_estimate_matches_a_replay_through_sample_walk(pairs, root, k, se
     tau = _LANES + 900
     est = estimate_kpath_centrality(g, root, KPathConfig(k=k, seed=seed, fixed_samples=tau))
     reach = compute_reachability(g, root)
-    draw = scalar_draw(g, reach, _WalkSpace(g, reach), k, "original")
-    rng = np.random.default_rng(seed)
-    acc = CompensatedSum()
-    hits = 0
-    for _ in range(tau):
-        c = draw(rng)
-        if c:
-            acc.add(c)
-            hits += 1
+    hits, mean = replay_estimate(g, reach, k, np.random.default_rng(seed), tau)
     assert est.hits == hits
-    assert est.value == min(acc.value / tau, est.contribution_bound)
-
-
-def replay_estimate(g, reach, k, stream, tau):
-    """Hits and value of a fixed run of ``tau`` scalar draws from ``stream``."""
-    draw = scalar_draw(g, reach, _WalkSpace(g, reach), k, "original")
-    acc = CompensatedSum()
-    hits = 0
-    for _ in range(tau):
-        c = draw(stream)
-        if c:
-            acc.add(c)
-            hits += 1
-    return hits, acc.value / tau
+    assert est.value == min(mean, est.contribution_bound)
 
 
 def busiest_root(g):
