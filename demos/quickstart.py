@@ -7,9 +7,8 @@ output is stable across runs.
 """
 
 from pathcentral.adaptive import EstimatorConfig
-from pathcentral.bench import select_top_vertices
 from pathcentral.betweenness import estimate_betweenness
-from pathcentral.exact import brandes_betweenness
+from pathcentral.exact import brandes_betweenness_all
 from pathcentral.generate import hub_digraph
 from pathcentral.reachability import compute_reachability
 
@@ -18,8 +17,10 @@ def main() -> None:
     g = hub_digraph(500, seed=7)
     print(f"graph: {g.vertex_count} vertices, {g.edge_count} edges")
 
-    root = select_top_vertices(g, 1)[0]
-    exact = float(brandes_betweenness(g, root))
+    scores = brandes_betweenness_all(g)
+    # the highest score, ties broken by ascending id
+    root = min(g.vertices(), key=lambda v: (-scores[v], v))
+    exact = float(scores[root])
     reach = compute_reachability(g, root)
     print(f"root {g.label_of(root)}: exact betweenness {exact:.6f}, "
           f"pair fraction {float(reach.pair_fraction):.4f}")

@@ -7,28 +7,34 @@ coverage, and exhaustive simple-path enumeration for k-path scores.
 
 Everything up to ``EXACT_ARITHMETIC_THRESHOLD`` vertices is computed in exact
 rational arithmetic so equality tests in higher layers are meaningful; above
-it the same code paths run in floats. The coverage and k-path oracles refuse
-graphs above fixed caps (``COVERAGE_GUARD``, ``KPATH_*_GUARD``).
+it the scores are floats. The coverage and k-path oracles refuse graphs
+above fixed caps (``COVERAGE_GUARD``, ``KPATH_*_GUARD``).
 
-Both betweenness oracles share one counting BFS on flat lists; Brandes'
-per-source sweep finds predecessors by distance but still adds in reversed
-BFS order, so its float scores equal a predecessor-list sweep's bit for
-bit. Float Brandes starts instead as a level-synchronous sweep on
-``scipy.sparse`` over batches of sources (Kepner & Gilbert, *Graph
-Algorithms in the Language of Linear Algebra*, 2011). It sums in another
-order, so its scores agree with the rational ones to a relative 5e-15 on
-the tested graphs rather than bit for bit. From the first batch whose BFS
-runs deeper than ``LEVEL_SWEEP_MAX_LEVELS`` levels, or whose path counts
-reach 2**53, the sources go back to the per-source float sweep.
+Both betweenness oracles share one counting BFS on flat lists. Rational
+Brandes runs Brandes' recursion on ints, scaled per source by the lcm of
+its path counts, and makes ``Fraction``s only when it sums the sources'
+numerators. The float per-source sweep finds predecessors by distance but
+still adds in reversed BFS order, so its scores equal a predecessor-list
+sweep's bit for bit. Float Brandes starts instead as a level-synchronous
+sweep on ``scipy.sparse`` over batches of sources (Kepner & Gilbert,
+*Graph Algorithms in the Language of Linear Algebra*, 2011). It sums in
+another order, so its scores agree with the rational ones to a relative
+5e-15 on the tested graphs rather than bit for bit. From the first batch
+whose BFS runs deeper than ``LEVEL_SWEEP_MAX_LEVELS`` levels, or whose path
+counts reach 2**53, the sources go back to the per-source float sweep.
+
+The all-pairs distance matrix is filled one row at a time from scipy's
+BFS, a code path apart from the library's counting BFS.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import truediv
 
 from .errors import GuardError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _bfs_levels
 from .reachability import compute_reachability
 
 __all__ = [
@@ -52,6 +58,8 @@ KPATH_LENGTH_GUARD = 5
 LEVEL_SWEEP_MAX_LEVELS = 24
 # each n × batch float64 array of the level sweep stays within this size
 LEVEL_SWEEP_BATCH_BYTES = 4 << 20
+# rational sweep: denominators whose numerators are summed apart at once
+OPEN_DENOMINATOR_GROUPS = 64
 
 
 def _count_paths(adj, source: int, dist: list[int], sigma: list[int]) -> list[int]:
@@ -78,21 +86,20 @@ def _count_paths(adj, source: int, dist: list[int], sigma: list[int]) -> list[in
     return order
 
 
-def _dependency_sweep(g: DirectedGraph, sources, scores: list) -> None:
-    """Add every source's dependencies into ``scores``, one BFS at a time.
+def _dependency_sweep(g: DirectedGraph, sources, scores: list[float]) -> None:
+    """Add every source's float dependencies into ``scores``, one BFS at a time.
 
     The sweep finds the predecessors of w among its in-neighbors u by
     ``dist[u] == dist[w] - 1`` instead of storing them. Each ``delta[u]``
     still receives its additions in reversed BFS order of w, with the same
-    coefficients, so float scores equal a predecessor-list sweep's bit for
-    bit. The arithmetic is that of ``scores``: ``Fraction`` or float.
+    coefficients, so the scores equal a predecessor-list sweep's bit for
+    bit.
     """
     n = g.vertex_count
-    zero = scores[0] * 0
     rev = g._rev
     dist = [-1] * n
     sigma = [0] * n
-    delta = [zero] * n
+    delta = [0.0] * n
     for s in sources:
         order = _count_paths(g._fwd, s, dist, sigma)
         # every reached vertex but the source, farthest first
@@ -105,7 +112,66 @@ def _dependency_sweep(g: DirectedGraph, sources, scores: list) -> None:
             scores[w] += delta[w]
         for v in order:
             dist[v] = -1
-            delta[v] = zero
+            delta[v] = 0.0
+
+
+def _integer_sweep(g: DirectedGraph) -> list[Fraction]:
+    """Every vertex's summed dependencies over all sources, as ``Fraction``s.
+
+    Per source s the sweep runs on ints. With D the lcm of the source's
+    path counts, it sets G(v) = D / sigma_v + (sum of G(w) over the
+    successors w of v in the shortest-path DAG), farthest vertex first;
+    then delta_s(v) = sigma_v * G(v) / D - 1. This is Brandes' recursion
+    delta_s(v) = sum of sigma_v / sigma_w * (1 + delta_s(w)) multiplied
+    through by D / sigma_v, and every term of G is an int because sigma_w
+    divides D.
+
+    The numerators sigma_v * G(v) - D of sources that share D add up in
+    one list of ints per D, a group. Once ``OPEN_DENOMINATOR_GROUPS`` groups
+    are open, a source with a new D first folds them all into the
+    ``Fraction`` sums: over the lcm of their denominators, each vertex gets
+    one ``Fraction`` addition per fold instead of one per group.
+    """
+    n = g.vertex_count
+    rev = g._rev
+    dist = [-1] * n
+    sigma = [0] * n
+    below = [0] * n  # sum of G(w) over the successors w swept so far
+    totals = [Fraction(0)] * n
+    groups: dict[int, list[int]] = {}
+
+    def fold() -> None:
+        common = lcm(*groups)
+        scaled = [(numerators, common // den) for den, numerators in groups.items()]
+        for v in range(n):
+            num = sum(numerators[v] * scale for numerators, scale in scaled)
+            if num:
+                totals[v] += Fraction(num, common)
+        groups.clear()
+
+    for s in range(n):
+        order = _count_paths(g._fwd, s, dist, sigma)
+        den = lcm(*map(sigma.__getitem__, order))
+        numerators = groups.get(den)
+        if numerators is None:
+            if len(groups) >= OPEN_DENOMINATOR_GROUPS:
+                fold()
+            numerators = groups[den] = [0] * n
+        # every reached vertex but the source, farthest first
+        for w in order[:0:-1]:
+            sw = sigma[w]
+            gw = den // sw + below[w]
+            below[w] = 0
+            pred_dist = dist[w] - 1
+            for u in rev[w]:
+                if dist[u] == pred_dist:
+                    below[u] += gw
+            numerators[w] += sw * gw - den
+        below[s] = 0
+        for v in order:
+            dist[v] = -1
+    fold()
+    return totals
 
 
 def _level_sweep(a, at, sources: range):
@@ -115,9 +181,10 @@ def _level_sweep(a, at, sources: range):
     Column j of the n × len(sources) arrays belongs to ``sources[j]``. The
     forward pass grows every column's BFS level by level: ``at @ frontier``
     sums the path counts of each vertex's in-neighbors on the last level.
-    The backward pass walks the levels from the deepest up and adds
+    Each level is kept as the flat indices of its entries. The backward
+    pass walks the levels from the deepest up and adds
     ``sigma * (a @ coeff)`` into the level above, with
-    ``coeff = (1 + delta) / sigma`` on the level below.
+    ``coeff = (1 + delta) / sigma`` on the level below and zero elsewhere.
 
     Returns one float per vertex, the sum over the batch with each source's
     own column left out, or None when the batch must run in Python: when a
@@ -127,35 +194,38 @@ def _level_sweep(a, at, sources: range):
     import numpy as np
 
     n = a.shape[0]
-    cols = np.arange(len(sources))
-    sigma = np.zeros((n, len(sources)))
-    sigma[sources, cols] = 1.0
-    dist = np.full(sigma.shape, -1, dtype=np.int16)
-    dist[sources, cols] = 0
+    width = len(sources)
+    sigma = np.zeros((n, width))
+    flat_sigma = sigma.reshape(-1)
+    levels = [np.asarray(sources) * width + np.arange(width)]
+    flat_sigma[levels[0]] = 1.0
+    reached = sigma > 0
     frontier = sigma
-    depth = 0
     while True:
         frontier = at @ frontier
-        frontier[dist >= 0] = 0.0
+        frontier[reached] = 0.0
         new = frontier > 0
-        if not new.any():
+        level = np.flatnonzero(new)
+        if not level.size:
             break
-        depth += 1
-        if depth > LEVEL_SWEEP_MAX_LEVELS:
+        if len(levels) > LEVEL_SWEEP_MAX_LEVELS:
             return None
-        dist[new] = depth
+        levels.append(level)
+        reached |= new
         sigma += frontier
     if not sigma.max() < 2.0**53:
         return None
 
     delta = np.zeros(sigma.shape)
-    above = dist == depth
-    for d in range(depth, 0, -1):
-        level, above = above, dist == d - 1
-        coeff = np.zeros(sigma.shape)
-        coeff[level] = (1 + delta[level]) / sigma[level]
-        delta[above] += sigma[above] * (a @ coeff)[above]
-    delta[sources, cols] = 0.0
+    flat_delta = delta.reshape(-1)
+    coeff = np.zeros(sigma.shape)
+    flat_coeff = coeff.reshape(-1)
+    for d in range(len(levels) - 1, 0, -1):
+        level, above = levels[d], levels[d - 1]
+        flat_coeff[level] = (1 + flat_delta[level]) / flat_sigma[level]
+        flat_delta[above] += flat_sigma[above] * (a @ coeff).reshape(-1)[above]
+        flat_coeff[level] = 0.0
+    flat_delta[levels[0]] = 0.0
     return delta.sum(axis=1)
 
 
@@ -166,25 +236,25 @@ def brandes_betweenness_all(g: DirectedGraph):
     ordered vertex pairs. Computing a single vertex costs the same as all of
     them, so callers that need several scores should call this once.
 
-    Up to ``EXACT_ARITHMETIC_THRESHOLD`` vertices the sweep runs in rational
-    arithmetic, one source at a time. Above it the scores are floats, and
-    sources go in batches through ``_level_sweep``, a level-synchronous
-    sweep on sparse matrix products. Its scores differ from the rational
-    ones by a relative 5e-15 at most on the tested graphs (float sums in
-    another order). From the first batch that the level sweep refuses (a
-    BFS deeper than ``LEVEL_SWEEP_MAX_LEVELS``, or a path count of 2**53 or
-    more) the remaining sources run in the per-source float sweep, which
-    raises on counts beyond float range. If the first batch is refused, the
+    Up to ``EXACT_ARITHMETIC_THRESHOLD`` vertices the scores are
+    ``Fraction``s from ``_integer_sweep``, one source at a time on ints.
+    Above it the scores are floats, and sources go in batches through
+    ``_level_sweep``, a level-synchronous sweep on sparse matrix products.
+    Its scores differ from the rational ones by a relative 5e-15 at most
+    on the tested graphs (float sums in another order). From the first
+    batch that the level sweep refuses (a BFS deeper than
+    ``LEVEL_SWEEP_MAX_LEVELS``, or a path count of 2**53 or more) the
+    remaining sources run in the per-source float sweep, which raises on
+    counts beyond float range. If the first batch is refused, the
     scores equal a predecessor-list sweep's bit for bit.
     """
     n = g.vertex_count
     if n < 2:
         raise GuardError("betweenness needs at least 2 vertices")
-    exact = n <= EXACT_ARITHMETIC_THRESHOLD
-    scores = [Fraction(0) if exact else 0.0] * n
-    if exact:
-        _dependency_sweep(g, range(n), scores)
+    if n <= EXACT_ARITHMETIC_THRESHOLD:
+        scores = _integer_sweep(g)
     else:
+        scores = [0.0] * n
         a, at = g._search_matrices()
         width = max(1, LEVEL_SWEEP_BATCH_BYTES // (8 * n))
         for start in range(0, n, width):
@@ -251,12 +321,17 @@ def restricted_pair_betweenness(g: DirectedGraph, root: int):
 def all_pairs_distances(g: DirectedGraph):
     """Hop distances between all ordered pairs, ``inf`` where unreachable.
 
-    Comes from scipy's BFS-based shortest-path kernel, an independent code
-    path from this package's own searches.
+    Row s is filled from one scipy BFS out of s (``graph._bfs_levels``).
     """
-    from scipy.sparse import csgraph
+    import numpy as np
 
-    return csgraph.shortest_path(g._search_matrices()[0], method="auto", unweighted=True)
+    csr = g._search_matrices()[0]
+    n = g.vertex_count
+    dist = np.full((n, n), np.inf)
+    for s in range(n):
+        order, depth = _bfs_levels(csr, s)
+        dist[s, order] = depth
+    return dist
 
 
 def exact_coverage(g: DirectedGraph, root: int, dist=None):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from pathcentral import exact as exact_module
 from pathcentral.errors import GuardError
@@ -45,6 +47,18 @@ def braided_cycle(n: int, braids: int) -> DirectedGraph:
     for i, v in enumerate(range(0, n, n // braids)[:braids]):
         for x in (n + 2 * i, n + 2 * i + 1):
             edges += [(v, x), (x, (v + 2) % n)]
+    return DirectedGraph.from_edges(edges)
+
+
+def bidirected_grid(rows: int, cols: int) -> DirectedGraph:
+    """rows × cols grid with both directions of every edge: vertex pairs far
+    apart have binomially many shortest paths."""
+    edges = []
+    for v in range(rows * cols):
+        if (v + 1) % cols:
+            edges += [(v, v + 1), (v + 1, v)]
+        if v + cols < rows * cols:
+            edges += [(v, v + cols), (v + cols, v)]
     return DirectedGraph.from_edges(edges)
 
 
@@ -135,6 +149,47 @@ class TestBetweenness:
         def top3(values):
             return sorted(g.vertices(), key=lambda v: (-values[v], v))[:3]
         assert top3(scores) == top3(reference)
+
+
+class TestIntegerSweep:
+    """The rational scores come from Brandes' recursion scaled to ints; they
+    must equal the reference's ``Fraction`` arithmetic exactly."""
+
+    @pytest.mark.parametrize(
+        "g", [complete_layers(20, 10), braided_cycle(200, 20), bidirected_grid(12, 12)],
+        ids=["10**19-paths", "braided-cycle", "bidirected-grid"])
+    def test_equals_the_predecessor_list_reference(self, g):
+        scores = brandes_betweenness_all(g)
+        assert all(isinstance(v, Fraction) for v in scores)
+        assert scores == brandes_with_predecessor_lists(g, exact=True)
+
+    def test_one_open_group_gives_the_same_fractions(self, monkeypatch):
+        # every source with a new lcm of path counts folds the open group
+        graphs = [bidirected_grid(6, 7), hub_digraph(120, seed=4)] + REFERENCE_GRAPHS
+        grouped = [brandes_betweenness_all(g) for g in graphs]
+        monkeypatch.setattr(exact_module, "OPEN_DENOMINATOR_GROUPS", 1)
+        for g, expected in zip(graphs, grouped):
+            assert brandes_betweenness_all(g) == expected
+            assert expected == brandes_with_predecessor_lists(g, exact=True)
+
+
+class TestAllPairsDistances:
+    @pytest.mark.parametrize("g", [
+        random_digraph(60, 0.03, seed=4),
+        # a hub graph is strongly connected; a tail vertex into it and two
+        # isolated vertices leave pairs unreachable
+        DirectedGraph.from_edges(list(hub_digraph(80, seed=5).edges()) + [(80, 0)],
+                                 vertex_count=83),
+        layered_dag(6, 10, 0.3, seed=6),
+        DirectedGraph.from_edges([], vertex_count=1),
+        DirectedGraph.from_edges([], vertex_count=5),
+    ], ids=["random", "hub", "layered", "one-vertex", "edgeless"])
+    def test_equals_scipy_shortest_path(self, g):
+        # scipy's all-pairs Dijkstra is kept here as the independent reference
+        reference = csgraph.shortest_path(g.to_csr(), unweighted=True)
+        if g.vertex_count > 1:
+            assert np.isinf(reference).any()
+        assert np.array_equal(all_pairs_distances(g), reference)
 
 
 class TestRestrictedPairs:

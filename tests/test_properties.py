@@ -14,6 +14,8 @@ from pathcentral.graph import DirectedGraph
 from pathcentral.kpath import KPathConfig, estimate_kpath_centrality
 from pathcentral.reachability import compute_reachability
 
+from oracles import brandes_with_predecessor_lists
+
 
 def edge_lists(max_vertices: int):
     """Graphs from arbitrary vertex pairs: isolated vertices and self-loops
@@ -76,3 +78,9 @@ def test_restricted_pairs_equal_brandes(g):
         value = restricted_pair_betweenness(g, v)
         assert isinstance(value, Fraction)
         assert value == scores[v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(12))
+def test_integer_sweep_equals_the_predecessor_list_reference(g):
+    assert brandes_betweenness_all(g) == brandes_with_predecessor_lists(g, exact=True)
